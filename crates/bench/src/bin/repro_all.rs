@@ -55,16 +55,6 @@
 //! per-base inner structure). Sharding never changes the trace: the
 //! artifacts are byte-identical across any `N`.
 //!
-//! `--des-threads N` runs every experiment through the conservative
-//! parallel DES engine: the kernel streams its trace from one partition
-//! while `N` scoped worker partitions fold the analysis, synchronised by
-//! the engine's bounded channels. Artifacts and the sim-plane metrics
-//! are byte-identical to the serial pipeline for every `N`; only the
-//! wall-plane `des_*` counters (null messages, horizon stalls, per-
-//! partition busy/idle) differ. Composes with `--faults`, `--shards`
-//! and a single `--wheel-backend`; incompatible with `--serial`,
-//! `--collected` and `--wheel-backend=all`.
-//!
 //! `--adaptive[=off|fixed|learned]` selects the workload-timeout policy
 //! (the paper's §5 "timeouts should be learned"). `fixed` keeps every
 //! historical constant with the adaptive plumbing live — its output is
@@ -75,10 +65,14 @@
 //! expirations avoided per origin (riding the attribution plane), the
 //! dynticks sleep-residency histogram (the energy proxy), and
 //! retransmit-latency deltas (most visible under `--faults`). Composes
-//! with `--faults`, `--shards`, `--des-threads` and `--wheel-backend`
+//! with `--faults`, `--shards` and `--wheel-backend`
 //! (including `all`, which then asserts the counterfactual figures
 //! byte-identical across every backend too); incompatible with
 //! `--serial` and `--collected` (it runs on the cached parallel path).
+//!
+//! Every flag that takes a value accepts both `--flag V` and `--flag=V`.
+//! Any other argument is rejected: the binary prints the flag list on
+//! stderr and exits with status 2 before running anything.
 
 use timerstudy::experiment::repro_duration;
 use timerstudy::{Backend, FaultSpec};
@@ -99,15 +93,7 @@ enum BackendMode {
 
 /// Parses `--wheel-backend NAME` / `--wheel-backend=NAME`.
 fn backend_mode(args: &[String]) -> BackendMode {
-    let value = args
-        .iter()
-        .position(|a| a == "--wheel-backend")
-        .and_then(|i| args.get(i + 1).cloned())
-        .or_else(|| {
-            args.iter()
-                .find_map(|a| a.strip_prefix("--wheel-backend=").map(str::to_owned))
-        });
-    match value.as_deref() {
+    match flag_value(args, "--wheel-backend").as_deref() {
         None => BackendMode::Default,
         Some("all") => BackendMode::All,
         Some(name) => match Backend::parse(name) {
@@ -123,20 +109,75 @@ fn backend_mode(args: &[String]) -> BackendMode {
     }
 }
 
-/// Parses `--des-threads N` / `--des-threads=N`.
-fn des_threads(args: &[String]) -> Option<u16> {
-    let value = args
-        .iter()
-        .position(|a| a == "--des-threads")
+/// Flags that take a value, as `--flag V` or `--flag=V`.
+const VALUE_FLAGS: [&str; 7] = [
+    "--artifacts",
+    "--faults",
+    "--scale",
+    "--assert-peak-resident-below",
+    "--wheel-backend",
+    "--shards",
+    "--timer-list",
+];
+
+/// Flags that take an optional value, only as `--flag=V`.
+const OPTIONAL_VALUE_FLAGS: [&str; 3] = ["--metrics", "--top-origins", "--adaptive"];
+
+/// Flags that take no value.
+const SWITCHES: [&str; 2] = ["--serial", "--collected"];
+
+/// Exits with status 2 on any argument outside the known flag set, or a
+/// value flag with no value, so a typo or a retired flag never runs
+/// silently as a default run.
+fn reject_unknown(args: &[String]) {
+    let mut rest = args.iter().skip(1).map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if VALUE_FLAGS.contains(&arg) {
+            if rest.next().is_none() {
+                eprintln!("{arg}: expected a value");
+                std::process::exit(2);
+            }
+            continue;
+        }
+        let name = arg.split_once('=').map_or(arg, |(name, _)| name);
+        let known = SWITCHES.contains(&arg)
+            || OPTIONAL_VALUE_FLAGS.contains(&name)
+            || VALUE_FLAGS.contains(&name);
+        if !known {
+            eprintln!(
+                "unknown argument {arg:?}; known flags: {} (each with a value), {} \
+                 (optionally =VALUE), {}",
+                VALUE_FLAGS.join(" "),
+                OPTIONAL_VALUE_FLAGS.join(" "),
+                SWITCHES.join(" ")
+            );
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The value of `--name V` or `--name=V`, if the flag is present.
+fn flag_value(args: &[String], name: &str) -> Option<String> {
+    let prefix = format!("{name}=");
+    args.iter()
+        .position(|a| a == name)
         .and_then(|i| args.get(i + 1).cloned())
         .or_else(|| {
             args.iter()
-                .find_map(|a| a.strip_prefix("--des-threads=").map(str::to_owned))
-        })?;
-    match value.parse::<u16>() {
-        Ok(n) if n >= 1 => Some(n),
+                .find_map(|a| a.strip_prefix(&prefix).map(str::to_owned))
+        })
+}
+
+/// Parses `--name N` / `--name=N` as an integer >= 1.
+fn positive_flag<T: std::str::FromStr + Default + PartialOrd>(
+    args: &[String],
+    name: &str,
+) -> Option<T> {
+    let value = flag_value(args, name)?;
+    match value.parse::<T>() {
+        Ok(n) if n > T::default() => Some(n),
         _ => {
-            eprintln!("--des-threads {value}: expected an integer >= 1");
+            eprintln!("{name} {value}: expected an integer >= 1");
             std::process::exit(2);
         }
     }
@@ -160,25 +201,6 @@ fn adaptive_policy(args: &[String]) -> adaptive::AdaptivePolicy {
         }
     }
     policy
-}
-
-/// Parses `--shards N` / `--shards=N`.
-fn shard_count(args: &[String]) -> Option<u16> {
-    let value = args
-        .iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1).cloned())
-        .or_else(|| {
-            args.iter()
-                .find_map(|a| a.strip_prefix("--shards=").map(str::to_owned))
-        })?;
-    match value.parse::<u16>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => {
-            eprintln!("--shards {value}: expected an integer >= 1");
-            std::process::exit(2);
-        }
-    }
 }
 
 /// One backend's aggregated wheel counters, for the per-backend summary.
@@ -215,14 +237,7 @@ fn top_origins(args: &[String]) -> Option<usize> {
 
 /// Parses `--timer-list=SECS[,SECS...]` into sim instants (nanoseconds).
 fn timer_list_instants(args: &[String]) -> Option<Vec<u64>> {
-    let value = args
-        .iter()
-        .position(|a| a == "--timer-list")
-        .and_then(|i| args.get(i + 1).cloned())
-        .or_else(|| {
-            args.iter()
-                .find_map(|a| a.strip_prefix("--timer-list=").map(str::to_owned))
-        })?;
+    let value = flag_value(args, "--timer-list")?;
     let mut instants = Vec::new();
     for part in value.split(',') {
         // Accept fractional seconds ("1.5") exactly: split on the point
@@ -291,11 +306,8 @@ fn metrics_dir(args: &[String]) -> Option<String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let artifacts_dir = args
-        .iter()
-        .position(|a| a == "--artifacts")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    reject_unknown(&args);
+    let artifacts_dir = flag_value(&args, "--artifacts");
     let serial = args.iter().any(|a| a == "--serial");
     let collected = args.iter().any(|a| a == "--collected");
     let metrics = metrics_dir(&args);
@@ -307,40 +319,10 @@ fn main() {
         telemetry::chrome::set_capture(true);
         telemetry::chrome::register_thread_name("main");
     }
-    let scale = match args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-    {
-        Some(n) => match n.parse::<u64>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("--scale {n}: expected an integer >= 1");
-                std::process::exit(2);
-            }
-        },
-        None => 1,
-    };
-    let resident_cap = match args
-        .iter()
-        .position(|a| a == "--assert-peak-resident-below")
-        .and_then(|i| args.get(i + 1))
-    {
-        Some(n) => match n.parse::<u64>() {
-            Ok(n) if n >= 1 => Some(n),
-            _ => {
-                eprintln!("--assert-peak-resident-below {n}: expected an integer >= 1");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
-    let faults = match args
-        .iter()
-        .position(|a| a == "--faults")
-        .and_then(|i| args.get(i + 1))
-    {
-        Some(spec) => match FaultSpec::parse(spec) {
+    let scale = positive_flag::<u64>(&args, "--scale").unwrap_or(1);
+    let resident_cap = positive_flag::<u64>(&args, "--assert-peak-resident-below");
+    let faults = match flag_value(&args, "--faults") {
+        Some(spec) => match FaultSpec::parse(&spec) {
             Ok(f) => f,
             Err(e) => {
                 eprintln!("--faults {spec}: {e}");
@@ -353,7 +335,7 @@ fn main() {
         eprintln!("--collected and --faults are mutually exclusive");
         std::process::exit(2);
     }
-    let backend = match (shard_count(&args), backend_mode(&args)) {
+    let backend = match (positive_flag::<u16>(&args, "--shards"), backend_mode(&args)) {
         (None, mode) => mode,
         (Some(n), BackendMode::Default) => BackendMode::One(Backend::Native.with_shards(n)),
         (Some(n), BackendMode::One(b)) => BackendMode::One(b.with_shards(n)),
@@ -371,35 +353,15 @@ fn main() {
         eprintln!("--adaptive runs on the cached parallel path; it cannot be combined with --serial or --collected");
         std::process::exit(2);
     }
-    let des = des_threads(&args);
-    if des.is_some() && (serial || collected) {
-        eprintln!("--des-threads runs on the cached parallel path; it cannot be combined with --serial or --collected");
-        std::process::exit(2);
-    }
-    if des.is_some() && backend == BackendMode::All {
-        eprintln!(
-            "--des-threads cannot be combined with --wheel-backend=all (force one backend instead)"
-        );
-        std::process::exit(2);
-    }
-    // The one backend a --des-threads run forces (native unless
-    // --wheel-backend/--shards chose another); unused otherwise.
-    let des_backend = match backend {
+    // The backend the --timer-list runs use (native unless
+    // --wheel-backend/--shards forced one).
+    let timer_list_backend = match backend {
         BackendMode::One(b) => b,
         _ => Backend::Native,
     };
     let duration = repro_duration() * scale;
     let threads = if serial || collected {
         1
-    } else if let Some(n) = des {
-        // The outer pool divides by the inner analysis fan-out.
-        timerstudy::parallel::default_threads_for(&timerstudy::figures::paper_specs_configured(
-            duration,
-            SEED,
-            faults,
-            des_backend,
-            n,
-        ))
     } else {
         timerstudy::parallel::default_threads(9)
     };
@@ -410,8 +372,6 @@ fn main() {
             "collected oracle path".to_owned()
         } else if serial {
             "serial reference path".to_owned()
-        } else if let Some(n) = des {
-            format!("parallel, up to {threads} threads, {n} DES analysis partitions each")
         } else {
             format!("parallel, up to {threads} threads")
         },
@@ -421,24 +381,7 @@ fn main() {
     let started = std::time::Instant::now();
     // Per-backend summary lines, printed with the run summary.
     let mut backend_summaries: Vec<String> = Vec::new();
-    let (mode, (results, artifacts)) = if let Some(n) = des {
-        let run = timerstudy::figures::reproduce_all_adaptive_with_results(
-            duration,
-            SEED,
-            faults,
-            des_backend,
-            n,
-            policy,
-        );
-        if backend != BackendMode::Default {
-            backend_summaries.push(format!(
-                "backend {}: {}",
-                des_backend.label(),
-                wheel_counter_summary(&run.0)
-            ));
-        }
-        ("pdes", run)
-    } else if !faults.is_none() {
+    let (mode, (results, artifacts)) = if !faults.is_none() {
         (
             "faulted",
             timerstudy::figures::reproduce_all_adaptive_with_results(
@@ -446,7 +389,6 @@ fn main() {
                 SEED,
                 faults,
                 Backend::Native,
-                0,
                 policy,
             ),
         )
@@ -473,7 +415,6 @@ fn main() {
                     SEED,
                     FaultSpec::none(),
                     Backend::Native,
-                    0,
                     policy,
                 ),
             ),
@@ -483,7 +424,6 @@ fn main() {
                     SEED,
                     FaultSpec::none(),
                     b,
-                    0,
                     policy,
                 );
                 backend_summaries.push(format!(
@@ -512,7 +452,6 @@ fn main() {
                             SEED,
                             FaultSpec::none(),
                             b,
-                            0,
                             policy,
                         );
                     backend_summaries.push(format!(
@@ -590,11 +529,11 @@ fn main() {
                 duration,
                 SEED,
             )
-            .with_backend(des_backend);
+            .with_backend(timer_list_backend);
             eprintln!(
                 "timer-list: dedicated {} Webserver run on backend {}...",
                 os.label(),
-                des_backend.label()
+                timer_list_backend.label()
             );
             let (_, captures) = timerstudy::run_experiment_with_timer_list(spec, instants);
             for capture in &captures {

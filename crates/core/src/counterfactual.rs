@@ -15,8 +15,7 @@
 //!
 //! Every number here is a pure function of the per-experiment sim
 //! snapshots and attribution tables, which are themselves invariant
-//! across wheel backends, shard counts, DES thread counts and cached
-//! replay — so the counterfactual artifacts inherit the same
+//! across wheel backends, shard counts and cached replay — so the counterfactual artifacts inherit the same
 //! byte-identity guarantees as the paper artifacts.
 
 use telemetry::hist::LogHistogram;

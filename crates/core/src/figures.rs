@@ -258,25 +258,18 @@ pub fn paper_specs(duration: simtime::SimDuration, seed: u64) -> Vec<ExperimentS
 }
 
 /// [`paper_specs`] with every orthogonal knob applied to every
-/// experiment: a fault plane, a forced timer-queue backend, and the
-/// conservative parallel-DES analysis plane (`des_threads` worker
-/// partitions; 0 keeps the historical single-threaded pipeline). All
-/// three are part of the experiment cache key, so configured runs never
-/// alias differently-configured ones.
+/// experiment: a fault plane and a forced timer-queue backend. Both are
+/// part of the experiment cache key, so configured runs never alias
+/// differently-configured ones.
 pub fn paper_specs_configured(
     duration: simtime::SimDuration,
     seed: u64,
     faults: crate::FaultSpec,
     backend: wheel::Backend,
-    des_threads: u16,
 ) -> Vec<ExperimentSpec> {
     paper_specs(duration, seed)
         .into_iter()
-        .map(|s| {
-            s.with_faults(faults)
-                .with_backend(backend)
-                .with_des_threads(des_threads)
-        })
+        .map(|s| s.with_faults(faults).with_backend(backend))
         .collect()
 }
 
@@ -290,10 +283,9 @@ pub fn paper_specs_adaptive(
     seed: u64,
     faults: crate::FaultSpec,
     backend: wheel::Backend,
-    des_threads: u16,
     policy: adaptive::AdaptivePolicy,
 ) -> Vec<ExperimentSpec> {
-    paper_specs_configured(duration, seed, faults, backend, des_threads)
+    paper_specs_configured(duration, seed, faults, backend)
         .into_iter()
         .map(|s| s.with_adaptive(policy))
         .collect()
@@ -314,17 +306,11 @@ pub fn reproduce_all_adaptive_with_results(
     seed: u64,
     faults: crate::FaultSpec,
     backend: wheel::Backend,
-    des_threads: u16,
     policy: adaptive::AdaptivePolicy,
 ) -> (Vec<ExperimentResult>, Vec<Artifact>) {
     if !policy.is_learned() {
         let results = crate::cache::global().run_all(&paper_specs_adaptive(
-            duration,
-            seed,
-            faults,
-            backend,
-            des_threads,
-            policy,
+            duration, seed, faults, backend, policy,
         ));
         let artifacts = assemble(&results);
         return (results, artifacts);
@@ -334,7 +320,6 @@ pub fn reproduce_all_adaptive_with_results(
         seed,
         faults,
         backend,
-        des_threads,
         adaptive::AdaptivePolicy::Fixed,
     ));
     let learned = crate::cache::global().run_all(&paper_specs_adaptive(
@@ -342,7 +327,6 @@ pub fn reproduce_all_adaptive_with_results(
         seed,
         faults,
         backend,
-        des_threads,
         adaptive::AdaptivePolicy::Learned,
     ));
     let mut artifacts = assemble(&fixed);
@@ -361,7 +345,7 @@ pub fn paper_specs_faulted(
     seed: u64,
     faults: crate::FaultSpec,
 ) -> Vec<ExperimentSpec> {
-    paper_specs_configured(duration, seed, faults, wheel::Backend::Native, 0)
+    paper_specs_configured(duration, seed, faults, wheel::Backend::Native)
 }
 
 /// [`paper_specs`] with every experiment forced onto one timer-queue
@@ -371,7 +355,7 @@ pub fn paper_specs_backend(
     seed: u64,
     backend: wheel::Backend,
 ) -> Vec<ExperimentSpec> {
-    paper_specs_configured(duration, seed, crate::FaultSpec::none(), backend, 0)
+    paper_specs_configured(duration, seed, crate::FaultSpec::none(), backend)
 }
 
 /// Assembles the paper's artifacts from results laid out as
@@ -411,28 +395,12 @@ pub fn assemble(results: &[ExperimentResult]) -> Vec<Artifact> {
 /// binary that already ran some of them (or calls this twice) never
 /// re-simulates a spec.
 pub fn reproduce_all(duration: simtime::SimDuration, seed: u64) -> Vec<Artifact> {
-    reproduce_all_with_results(duration, seed).1
-}
-
-/// [`reproduce_all`], also returning the experiment results so callers
-/// (e.g. `repro_all --metrics`) can aggregate per-experiment telemetry
-/// snapshots into a run report.
-pub fn reproduce_all_with_results(
-    duration: simtime::SimDuration,
-    seed: u64,
-) -> (Vec<ExperimentResult>, Vec<Artifact>) {
-    let results = crate::cache::global().run_all(&paper_specs(duration, seed));
-    let artifacts = assemble(&results);
-    (results, artifacts)
+    assemble(&crate::cache::global().run_all(&paper_specs(duration, seed)))
 }
 
 /// The strictly serial, uncached equivalent of [`reproduce_all`] — the
-/// reference path the determinism harness compares against.
-pub fn reproduce_all_serial(duration: simtime::SimDuration, seed: u64) -> Vec<Artifact> {
-    reproduce_all_serial_with_results(duration, seed).1
-}
-
-/// [`reproduce_all_serial`], also returning the experiment results.
+/// reference path the determinism harness compares against — also
+/// returning the experiment results.
 pub fn reproduce_all_serial_with_results(
     duration: simtime::SimDuration,
     seed: u64,
@@ -446,12 +414,8 @@ pub fn reproduce_all_serial_with_results(
 /// whole trace is materialised before one analysis pass. Artifacts must
 /// be byte-identical to the streaming paths' — this is the differential
 /// oracle behind `repro_all --collected`. Never cached (its resident-
-/// events gauge legitimately differs from the streaming runs').
-pub fn reproduce_all_collected(duration: simtime::SimDuration, seed: u64) -> Vec<Artifact> {
-    reproduce_all_collected_with_results(duration, seed).1
-}
-
-/// [`reproduce_all_collected`], also returning the experiment results.
+/// events gauge legitimately differs from the streaming runs'). Also
+/// returns the experiment results.
 pub fn reproduce_all_collected_with_results(
     duration: simtime::SimDuration,
     seed: u64,
@@ -461,72 +425,16 @@ pub fn reproduce_all_collected_with_results(
     (results, artifacts)
 }
 
-/// [`reproduce_all`] under fault injection: every experiment carries
-/// `faults`, and the summary tables gain drop/degradation accounting
-/// rows. With `FaultSpec::none()` this is exactly [`reproduce_all`].
-pub fn reproduce_all_faulted(
-    duration: simtime::SimDuration,
-    seed: u64,
-    faults: crate::FaultSpec,
-) -> Vec<Artifact> {
-    reproduce_all_faulted_with_results(duration, seed, faults).1
-}
-
-/// [`reproduce_all_faulted`], also returning the experiment results.
-pub fn reproduce_all_faulted_with_results(
-    duration: simtime::SimDuration,
-    seed: u64,
-    faults: crate::FaultSpec,
-) -> (Vec<ExperimentResult>, Vec<Artifact>) {
-    let results = crate::cache::global().run_all(&paper_specs_faulted(duration, seed, faults));
-    let artifacts = assemble(&results);
-    (results, artifacts)
-}
-
 /// [`reproduce_all`] with every experiment on one forced timer-queue
 /// backend, through the process-wide cache (backend is part of the cache
 /// key, so different backends never alias). With `Backend::Native` this
-/// is exactly [`reproduce_all`].
-pub fn reproduce_all_backend(
-    duration: simtime::SimDuration,
-    seed: u64,
-    backend: wheel::Backend,
-) -> Vec<Artifact> {
-    reproduce_all_backend_with_results(duration, seed, backend).1
-}
-
-/// [`reproduce_all_backend`], also returning the experiment results.
+/// is exactly [`reproduce_all`]. Also returns the experiment results.
 pub fn reproduce_all_backend_with_results(
     duration: simtime::SimDuration,
     seed: u64,
     backend: wheel::Backend,
 ) -> (Vec<ExperimentResult>, Vec<Artifact>) {
     let results = crate::cache::global().run_all(&paper_specs_backend(duration, seed, backend));
-    let artifacts = assemble(&results);
-    (results, artifacts)
-}
-
-/// The fully-configured reproduction: faults, a forced backend, and the
-/// parallel-DES analysis plane, composed (the `repro_all --des-threads`
-/// path). Runs through the process-wide cache; with
-/// `FaultSpec::none()`, `Backend::Native` and `des_threads == 0` this is
-/// exactly [`reproduce_all`]. The artifacts are byte-identical across
-/// every `des_threads` value — the parallel engine only changes *who*
-/// folds the analysis, never the stream it folds.
-pub fn reproduce_all_configured_with_results(
-    duration: simtime::SimDuration,
-    seed: u64,
-    faults: crate::FaultSpec,
-    backend: wheel::Backend,
-    des_threads: u16,
-) -> (Vec<ExperimentResult>, Vec<Artifact>) {
-    let results = crate::cache::global().run_all(&paper_specs_configured(
-        duration,
-        seed,
-        faults,
-        backend,
-        des_threads,
-    ));
     let artifacts = assemble(&results);
     (results, artifacts)
 }

@@ -46,12 +46,12 @@ fn sim_plane_identical_across_serial_parallel_and_cached() {
     let specs = specs_under_test();
     let serial = run_experiments(&specs);
 
-    // Every experiment must actually have recorded sim-plane events —
-    // an all-zero snapshot would make the equality below vacuous.
+    // Every experiment must actually have recorded trace records — an
+    // all-zero snapshot would make the equality below vacuous.
     for result in &serial {
         assert!(
-            result.metrics.total_events() > 0,
-            "no sim-plane events for {:?}/{:?}",
+            result.metrics.counter(telemetry::SimCounter::TraceRecords) > 0,
+            "no trace records for {:?}/{:?}",
             result.spec.os,
             result.spec.workload
         );
