@@ -7,13 +7,14 @@ use simtime::SimDuration;
 use trace::{Event, EventCounts, Pid, StringTable, TraceSink};
 
 use crate::attribution::AttributionTracker;
-use crate::classify::{Classifier, ClusterKey, PatternMix};
-use crate::countdown::{CountdownDetector, Dot};
-use crate::lifecycle::LifecycleTracker;
+use crate::classify::{Classifier, ClusterKey, ClusterState, PatternMix};
+use crate::countdown::{self, Chains, Dot};
+use crate::lifecycle::{Episodes, Sample};
 use crate::provenance::{ProvenanceRow, ProvenanceTracker};
 use crate::scatter::{ScatterBuilder, ScatterPoint};
-use crate::summary::{RateSeries, TimerPopulation, TraceSummary};
-use crate::values::{ValueHistogram, ValueRow};
+use crate::slots::{ByOrigin, TimerSlots};
+use crate::summary::{RateSeries, TraceSummary};
+use crate::values::{coverage, ValueBuckets, ValueCounts, ValueRow};
 
 /// How episodes are clustered into "a timer" for classification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,17 +109,24 @@ pub struct Report {
 }
 
 /// The composed streaming analyzer.
+///
+/// One fused pass per record: the timer address resolves once to a dense
+/// slot, and the lifecycle and countdown folds update that slot's state;
+/// the three value histograms share one bucket interner; the pattern
+/// classifiers index clusters by slot (Linux) and by origin id.
 pub struct TraceAnalyzer {
     cfg: AnalyzerConfig,
-    lifecycle: LifecycleTracker,
-    population: TimerPopulation,
     counts: EventCounts,
+    timers: TimerSlots,
+    episodes: Episodes,
+    chains: Chains,
+    /// Clusters by timer slot (`ByAddress`) or by (origin, pid).
     classifier: Classifier,
-    origin_classifier: Classifier,
-    values_all: ValueHistogram,
-    values_filtered: ValueHistogram,
-    values_user: ValueHistogram,
-    countdown: CountdownDetector,
+    origin_clusters: ByOrigin<ClusterState>,
+    value_buckets: ValueBuckets,
+    values_all: ValueCounts,
+    values_filtered: ValueCounts,
+    values_user: ValueCounts,
     scatter: ScatterBuilder,
     rates: RateSeries,
     provenance: ProvenanceTracker,
@@ -140,19 +148,19 @@ impl std::fmt::Debug for TraceAnalyzer {
 impl TraceAnalyzer {
     /// Creates an analyzer.
     pub fn new(cfg: AnalyzerConfig) -> Self {
-        let values_filtered = ValueHistogram::excluding(cfg.exclude_pids.iter().copied());
-        // The user-space histogram applies the same process filter.
-        let values_user = ValueHistogram::user_only_excluding(cfg.exclude_pids.iter().copied());
+        let excluded = || cfg.exclude_pids.iter().copied();
         TraceAnalyzer {
-            lifecycle: LifecycleTracker::new(),
-            population: TimerPopulation::default(),
             counts: EventCounts::default(),
+            timers: TimerSlots::default(),
+            episodes: Episodes::default(),
+            chains: Chains::new(cfg.tolerance, cfg.dot_pids.clone()),
             classifier: Classifier::new(cfg.tolerance),
-            origin_classifier: Classifier::new(cfg.tolerance),
-            values_all: ValueHistogram::new(),
-            values_filtered,
-            values_user,
-            countdown: CountdownDetector::new(cfg.tolerance, cfg.dot_pids.clone()),
+            origin_clusters: ByOrigin::default(),
+            value_buckets: ValueBuckets::default(),
+            values_all: ValueCounts::new(false, []),
+            values_filtered: ValueCounts::new(false, excluded()),
+            // The user-space histogram applies the same process filter.
+            values_user: ValueCounts::new(true, excluded()),
             scatter: ScatterBuilder::new(),
             rates: RateSeries::new(cfg.rate_groups.clone()),
             provenance: ProvenanceTracker::new(),
@@ -172,148 +180,94 @@ impl TraceAnalyzer {
     /// Feeds one event through every component.
     pub fn push(&mut self, event: &Event) {
         self.counts.absorb(event);
-        self.population.push(event);
+        let slot = self.timers.slot(event.timer);
+        let timer = self.timers.get_mut(slot);
         self.rates.push(event);
-        self.values_all.push(event);
-        self.values_filtered.push(event);
-        self.values_user.push(event);
-        self.countdown.push(event);
+        if let Some(value) = crate::valued_set(event) {
+            let id = self.value_buckets.intern(value);
+            self.values_all.fold(event, id);
+            self.values_filtered.fold(event, id);
+            self.values_user.fold(event, id);
+            self.chains.fold(&mut timer.chain, event, value);
+        }
         self.attribution.push(event);
-        self.push_lifecycle(event);
+        if let Some(sample) = self.episodes.fold(&mut timer.open, event) {
+            self.push_sample(slot, &sample);
+        }
     }
 
-    /// Feeds a whole chunk, component-major: each component folds the
-    /// full chunk before the next starts. The components are independent
-    /// folds over the same stream, so the final state is identical to
-    /// per-event [`push`](Self::push) order — chunk boundaries carry no
-    /// semantics — while each inner loop keeps one component's state and
-    /// code hot.
+    /// Feeds a whole chunk: [`push`](Self::push) per event, so chunk
+    /// boundaries carry no semantics.
     pub fn push_chunk(&mut self, events: &[Event]) {
         for event in events {
-            self.counts.absorb(event);
-        }
-        for event in events {
-            self.population.push(event);
-        }
-        for event in events {
-            self.rates.push(event);
-        }
-        for event in events {
-            self.values_all.push(event);
-        }
-        for event in events {
-            self.values_filtered.push(event);
-        }
-        for event in events {
-            self.values_user.push(event);
-        }
-        for event in events {
-            self.countdown.push(event);
-        }
-        self.attribution.push_chunk(events);
-        for event in events {
-            self.push_lifecycle(event);
+            self.push(event);
         }
     }
 
-    /// Columnar variant of [`push_chunk`](Self::push_chunk) over a
-    /// decoded structure-of-arrays batch: the counting and bucketing
-    /// folds read only the columns they need (and the three value
-    /// histograms share one bucket computation); the order-sensitive
-    /// per-timer folds materialise each row once.
-    pub fn push_columns(&mut self, cols: &crate::visitor::EventColumns) {
-        let n = cols.len();
-        for i in 0..n {
-            self.counts.absorb_parts(cols.kinds[i], cols.spaces[i]);
-        }
-        for &timer in &cols.timers {
-            self.population.push_addr(timer);
-        }
-        for i in 0..n {
-            if cols.kinds[i] == trace::EventKind::Set {
-                self.rates.record_set(cols.ts_nanos[i], cols.pids[i]);
-            }
-        }
-        for i in 0..n {
-            if cols.kinds[i] == trace::EventKind::Set
-                && cols.timeout_ns[i] != crate::visitor::EventColumns::NONE_NS
-            {
-                let bucket = ValueHistogram::bucket_of(cols.timeout_ns[i]);
-                let (space, pid) = (cols.spaces[i], cols.pids[i]);
-                self.values_all.record_bucket(space, pid, bucket);
-                self.values_filtered.record_bucket(space, pid, bucket);
-                self.values_user.record_bucket(space, pid, bucket);
-            }
-        }
-        for i in 0..n {
-            let event = cols.event(i);
-            self.countdown.push(&event);
-            self.attribution.push(&event);
-            self.push_lifecycle(&event);
-        }
-    }
-
-    /// The lifecycle chain: episode reconstruction feeding the
+    /// The lifecycle chain: one completed episode feeding the
     /// classifiers, scatter and provenance, in exact sample order.
-    fn push_lifecycle(&mut self, event: &Event) {
-        if let Some(sample) = self.lifecycle.push(event) {
-            let key = match self.cfg.cluster_mode {
-                ClusterMode::ByAddress => ClusterKey(sample.addr, 0),
-                ClusterMode::ByOriginPid => ClusterKey(sample.origin as u64, sample.pid as u64),
-            };
-            self.classifier.push(key, &sample);
-            self.origin_classifier
-                .push(ClusterKey(sample.origin as u64, 0), &sample);
-            if !self.cfg.exclude_pids.contains(&sample.pid) {
-                self.scatter.push(&sample);
-            }
-            self.provenance.push(&sample);
+    fn push_sample(&mut self, slot: u32, sample: &Sample) {
+        match self.cfg.cluster_mode {
+            ClusterMode::ByAddress => self.classifier.push_dense(slot, sample),
+            ClusterMode::ByOriginPid => self
+                .classifier
+                .push(ClusterKey(sample.origin as u64, sample.pid as u64), sample),
         }
+        self.origin_clusters
+            .entry(sample.origin)
+            .fold(self.cfg.tolerance, sample);
+        if !self.cfg.exclude_pids.contains(&sample.pid) {
+            self.scatter.push(sample);
+        }
+        self.provenance.push(sample);
     }
 
     /// Finalises into a [`Report`]; `strings` resolves origin labels.
     pub fn finish(self, strings: &StringTable) -> Report {
         let mut summary = TraceSummary::from_counts(
             self.counts,
-            self.population.count(),
-            self.lifecycle.peak_concurrency() as u64,
+            self.timers.len() as u64,
+            self.episodes.peak_concurrency() as u64,
         );
-        summary.orphan_ends = self.lifecycle.orphan_ends();
+        summary.orphan_ends = self.episodes.orphan_ends();
         summary.decode_lost = self.decode_lost;
-        summary.out_of_order_sets = self.countdown.out_of_order_sets();
-        // The main classifier only: the origin classifier sees the same
+        summary.out_of_order_sets = self.chains.out_of_order_sets();
+        // The main classifier only: the origin clusters see the same
         // samples again and would double-count.
         summary.anomalous_rearms = self.classifier.anomalous_rearms();
-        let origin_classifier = &self.origin_classifier;
+        let origin_clusters = &self.origin_clusters;
         let provenance = self.provenance.rows(
             1.0,
             4,
             |o| strings.resolve(o).to_owned(),
             |o| {
-                origin_classifier
-                    .class_of(ClusterKey(o as u64, 0))
-                    .unwrap_or(crate::classify::PatternClass::Other)
+                origin_clusters
+                    .get(o)
+                    .map_or(crate::classify::PatternClass::Other, ClusterState::class)
             },
         );
         let mut rate_series = std::collections::BTreeMap::new();
         for name in self.rates.group_names() {
             rate_series.insert(name.to_owned(), self.rates.series(name).to_vec());
         }
+        let values_all = self.values_all.rows(&self.value_buckets, 2.0);
+        let values_filtered = self.values_filtered.rows(&self.value_buckets, 2.0);
+        let chains = || self.timers.iter().map(|t| &t.chain.stats);
         Report {
             summary,
             pattern_mix: self.classifier.finish(),
-            values_all: self.values_all.rows(2.0),
-            values_all_coverage: self.values_all.coverage(2.0),
-            values_filtered: self.values_filtered.rows(2.0),
-            values_filtered_coverage: self.values_filtered.coverage(2.0),
-            values_user: self.values_user.rows(2.0),
+            values_all_coverage: coverage(&values_all),
+            values_all,
+            values_filtered_coverage: coverage(&values_filtered),
+            values_filtered,
+            values_user: self.values_user.rows(&self.value_buckets, 2.0),
             scatter: self.scatter.points(),
-            fig4_dots: self.countdown.dots().to_vec(),
+            fig4_dots: self.chains.dots().to_vec(),
             rate_series,
             provenance,
             attribution: self.attribution.finish(strings),
-            countdown_timer_count: self.countdown.countdown_timers(0.5).len(),
-            countdown_validation: self.countdown.validation_counts(),
+            countdown_timer_count: chains().filter(|s| s.is_countdown_timer(0.5)).count(),
+            countdown_validation: countdown::validation_counts(chains()),
         }
     }
 

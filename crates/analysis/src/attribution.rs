@@ -6,8 +6,8 @@
 //! requested timeout values, and the log₂ histogram of set-vs-fired
 //! slack (delivery instant minus armed expiry — both carried on the
 //! expiry event itself, so no per-timer state is needed). The fold is a
-//! pure function of the event stream: accumulators are keyed by
-//! [`OriginId`] in a `BTreeMap`, and [`finish`](AttributionTracker::finish)
+//! pure function of the event stream: accumulators are indexed by origin
+//! id, and [`finish`](AttributionTracker::finish)
 //! resolves labels through the (deterministic) trace string table into a
 //! [`telemetry::OriginTable`] in canonical row order. That is what lets
 //! the table ride inside [`Report`](crate::Report) — byte-identical
@@ -20,6 +20,8 @@
 
 use telemetry::{LogHistogram, OriginRow, OriginTable};
 use trace::{Event, StringTable};
+
+use crate::slots::ByOrigin;
 
 /// Per-origin accumulator (label-unresolved form of a row).
 #[derive(Debug, Clone, Default)]
@@ -37,10 +39,12 @@ struct OriginAcc {
 /// Origin ids are dense string-table indices (a trace interns tens of
 /// them), so the per-event fold indexes a flat vector instead of
 /// searching a map — this sits on every analyzed event, inside the
-/// telemetry overhead budget.
+/// telemetry overhead budget. The vector is bounded
+/// ([`DENSE_ORIGINS`](crate::slots::DENSE_ORIGINS)): a corrupt record's
+/// huge origin id lands in an overflow map instead of sizing it.
 #[derive(Debug, Clone, Default)]
 pub struct AttributionTracker {
-    per_origin: Vec<Option<OriginAcc>>,
+    per_origin: ByOrigin<OriginAcc>,
 }
 
 impl AttributionTracker {
@@ -58,11 +62,7 @@ impl AttributionTracker {
     }
 
     fn fold(&mut self, event: &Event) {
-        let idx = event.origin as usize;
-        if idx >= self.per_origin.len() {
-            self.per_origin.resize_with(idx + 1, || None);
-        }
-        let acc = self.per_origin[idx].get_or_insert_with(OriginAcc::default);
+        let acc = self.per_origin.entry(event.origin);
         if event.kind == trace::EventKind::Init {
             acc.inits += 1;
         }
@@ -98,7 +98,7 @@ impl AttributionTracker {
 
     /// Distinct origins seen so far.
     pub fn origin_count(&self) -> usize {
-        self.per_origin.iter().flatten().count()
+        self.per_origin.iter().count()
     }
 
     /// Resolves labels and freezes the canonical [`OriginTable`].
@@ -107,8 +107,6 @@ impl AttributionTracker {
             rows: self
                 .per_origin
                 .iter()
-                .enumerate()
-                .filter_map(|(origin, acc)| acc.as_ref().map(|acc| (origin as u32, acc)))
                 .map(|(origin, acc)| OriginRow {
                     label: strings.resolve(origin).to_owned(),
                     inits: acc.inits,

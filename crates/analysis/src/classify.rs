@@ -77,7 +77,7 @@ pub struct ClusterKey(pub u64, pub u64);
 
 /// Per-cluster accumulated behaviour.
 #[derive(Debug, Default, Clone)]
-struct KeyState {
+pub(crate) struct ClusterState {
     episodes: u64,
     expires: u64,
     cancels: u64,
@@ -97,11 +97,95 @@ struct KeyState {
     last_end_ns: Option<(u64, Outcome)>,
 }
 
+impl ClusterState {
+    /// Folds one completed episode of this cluster.
+    pub(crate) fn fold(&mut self, tolerance: SimDuration, sample: &Sample) {
+        let tol_ns = tolerance.as_nanos();
+        self.episodes += 1;
+        if let Some(d) = sample.timeout {
+            // Bucket the value by the tolerance.
+            *self
+                .value_counts
+                .entry(d.as_nanos() / tol_ns.max(1))
+                .or_insert(0) += 1;
+        }
+        // Gap between the previous episode's end and this set. A set
+        // stamped before the recorded end used to clamp to gap 0 via
+        // saturating_sub and masquerade as an immediate (periodic)
+        // re-arm; such negative gaps are anomalies, not votes.
+        if let Some((end_ns, prev_outcome)) = self.last_end_ns {
+            if prev_outcome == Outcome::Expired {
+                let set_ns = sample.set_ts.as_nanos();
+                if set_ns < end_ns {
+                    self.anomalous_rearms += 1;
+                } else if set_ns - end_ns <= tol_ns {
+                    self.immediate_rearms += 1;
+                } else {
+                    self.gap_rearms += 1;
+                }
+            }
+        }
+        match sample.outcome {
+            Outcome::Expired => self.expires += 1,
+            Outcome::Canceled => {
+                self.cancels += 1;
+                if let Some(p) = sample.percent_of_set() {
+                    if p < 50.0 {
+                        self.early_cancels += 1;
+                    }
+                }
+            }
+            Outcome::Reset => self.resets += 1,
+        }
+        self.last_end_ns = Some((sample.end_ts.as_nanos(), sample.outcome));
+    }
+
+    /// Classifies this cluster's accumulated behaviour.
+    pub(crate) fn class(&self) -> PatternClass {
+        let n = self.episodes;
+        if n < 3 {
+            return PatternClass::Other;
+        }
+        // Value constancy: the dominant value bucket must cover most sets.
+        let dominant = self.value_counts.values().copied().max().unwrap_or(0);
+        if (dominant as f64) < 0.7 * n as f64 {
+            return PatternClass::Other;
+        }
+        let exp_f = self.expires as f64 / n as f64;
+        let res_f = self.resets as f64 / n as f64;
+        let can_f = self.cancels as f64 / n as f64;
+        if exp_f >= 0.85 {
+            let rearms = self.immediate_rearms + self.gap_rearms;
+            if rearms > 0 && self.immediate_rearms as f64 >= 0.7 * rearms as f64 {
+                PatternClass::Periodic
+            } else {
+                PatternClass::Delay
+            }
+        } else if res_f >= 0.5 {
+            if exp_f > 0.08 {
+                PatternClass::Deferred
+            } else {
+                PatternClass::Watchdog
+            }
+        } else if can_f >= 0.6 {
+            PatternClass::Timeout
+        } else {
+            PatternClass::Other
+        }
+    }
+}
+
 /// The streaming classifier.
+///
+/// Clusters are addressed either by [`ClusterKey`] ([`push`](Self::push))
+/// or, when the caller already holds a dense id for the cluster (the
+/// composed analyzer's timer slot), by that id (`push_dense`). Both feed
+/// the same per-cluster fold; the population queries span both.
 #[derive(Debug)]
 pub struct Classifier {
     tolerance: SimDuration,
-    keys: FoldMap<ClusterKey, KeyState>,
+    keys: FoldMap<ClusterKey, ClusterState>,
+    dense: Vec<Option<ClusterState>>,
 }
 
 /// The classified population: cluster count per class (Figure 2's
@@ -131,100 +215,47 @@ impl Classifier {
         Classifier {
             tolerance,
             keys: FoldMap::default(),
+            dense: Vec::new(),
         }
-    }
-
-    /// Buckets a value by the tolerance.
-    fn bucket(&self, d: SimDuration) -> u64 {
-        let tol = self.tolerance.as_nanos().max(1);
-        d.as_nanos() / tol
     }
 
     /// Feeds one completed episode under its cluster key.
     pub fn push(&mut self, key: ClusterKey, sample: &Sample) {
-        let tol_ns = self.tolerance.as_nanos();
-        let bucket = sample.timeout.map(|d| self.bucket(d));
-        let state = self.keys.entry(key).or_default();
-        state.episodes += 1;
-        if let Some(b) = bucket {
-            *state.value_counts.entry(b).or_insert(0) += 1;
-        }
-        // Gap between the previous episode's end and this set. A set
-        // stamped before the recorded end used to clamp to gap 0 via
-        // saturating_sub and masquerade as an immediate (periodic)
-        // re-arm; such negative gaps are anomalies, not votes.
-        if let Some((end_ns, prev_outcome)) = state.last_end_ns {
-            if prev_outcome == Outcome::Expired {
-                let set_ns = sample.set_ts.as_nanos();
-                if set_ns < end_ns {
-                    state.anomalous_rearms += 1;
-                } else if set_ns - end_ns <= tol_ns {
-                    state.immediate_rearms += 1;
-                } else {
-                    state.gap_rearms += 1;
-                }
-            }
-        }
-        match sample.outcome {
-            Outcome::Expired => state.expires += 1,
-            Outcome::Canceled => {
-                state.cancels += 1;
-                if let Some(p) = sample.percent_of_set() {
-                    if p < 50.0 {
-                        state.early_cancels += 1;
-                    }
-                }
-            }
-            Outcome::Reset => state.resets += 1,
-        }
-        state.last_end_ns = Some((sample.end_ts.as_nanos(), sample.outcome));
+        self.keys
+            .entry(key)
+            .or_default()
+            .fold(self.tolerance, sample);
     }
 
-    /// Classifies one cluster's accumulated behaviour.
-    fn classify(state: &KeyState) -> PatternClass {
-        let n = state.episodes;
-        if n < 3 {
-            return PatternClass::Other;
+    /// Feeds one completed episode under a caller-assigned dense cluster
+    /// id (ids should be small: the table grows to the largest one).
+    pub(crate) fn push_dense(&mut self, id: u32, sample: &Sample) {
+        let idx = id as usize;
+        if idx >= self.dense.len() {
+            self.dense.resize_with(idx + 1, || None);
         }
-        // Value constancy: the dominant value bucket must cover most sets.
-        let dominant = state.value_counts.values().copied().max().unwrap_or(0);
-        if (dominant as f64) < 0.7 * n as f64 {
-            return PatternClass::Other;
-        }
-        let exp_f = state.expires as f64 / n as f64;
-        let res_f = state.resets as f64 / n as f64;
-        let can_f = state.cancels as f64 / n as f64;
-        if exp_f >= 0.85 {
-            let rearms = state.immediate_rearms + state.gap_rearms;
-            if rearms > 0 && state.immediate_rearms as f64 >= 0.7 * rearms as f64 {
-                PatternClass::Periodic
-            } else {
-                PatternClass::Delay
-            }
-        } else if res_f >= 0.5 {
-            if exp_f > 0.08 {
-                PatternClass::Deferred
-            } else {
-                PatternClass::Watchdog
-            }
-        } else if can_f >= 0.6 {
-            PatternClass::Timeout
-        } else {
-            PatternClass::Other
-        }
+        self.dense[idx]
+            .get_or_insert_with(ClusterState::default)
+            .fold(self.tolerance, sample);
+    }
+
+    /// Every cluster's state, dense and keyed.
+    fn states(&self) -> impl Iterator<Item = &ClusterState> {
+        self.dense.iter().flatten().chain(self.keys.values())
     }
 
     /// Classifies one key now (for tests and provenance).
     pub fn class_of(&self, key: ClusterKey) -> Option<PatternClass> {
-        self.keys.get(&key).map(Self::classify)
+        self.keys.get(&key).map(ClusterState::class)
     }
 
     /// Finishes: the population mix over all clusters.
     pub fn finish(&self) -> PatternMix {
         let mut mix = PatternMix::default();
-        for state in self.keys.values() {
-            let class = Self::classify(state);
-            *mix.counts.entry(class.label().to_owned()).or_insert(0) += 1;
+        for state in self.states() {
+            *mix.counts
+                .entry(state.class().label().to_owned())
+                .or_insert(0) += 1;
             mix.total += 1;
         }
         mix
@@ -232,13 +263,13 @@ impl Classifier {
 
     /// Number of clusters observed.
     pub fn cluster_count(&self) -> usize {
-        self.keys.len()
+        self.states().count()
     }
 
     /// Total re-sets across all clusters whose timestamp preceded the
     /// previous episode's recorded end (clock skew / reordering).
     pub fn anomalous_rearms(&self) -> u64 {
-        self.keys.values().map(|s| s.anomalous_rearms).sum()
+        self.states().map(|s| s.anomalous_rearms).sum()
     }
 }
 

@@ -12,7 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 use simtime::SimDuration;
-use trace::{Event, EventKind, Pid, TimerAddr};
+use trace::{Event, Pid, TimerAddr};
 
 use crate::fasthash::FoldMap;
 
@@ -36,6 +36,11 @@ impl CountdownStats {
             self.countdown_sets as f64 / self.sets as f64
         }
     }
+
+    /// `true` when this timer's sets are mostly countdown re-issues.
+    pub(crate) fn is_countdown_timer(&self, min_fraction: f64) -> bool {
+        self.sets >= 4 && self.countdown_fraction() >= min_fraction
+    }
 }
 
 /// One dot of the Figure 4 series.
@@ -47,20 +52,20 @@ pub struct Dot {
     pub value: f64,
 }
 
-/// Per-timer detector state: the running stats plus the previous set,
-/// in one map entry so each event costs a single hash lookup.
-#[derive(Debug, Default)]
-struct TimerState {
-    stats: CountdownStats,
+/// Per-timer detector state: the running stats plus the previous set.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct TimerChain {
+    pub(crate) stats: CountdownStats,
     /// Previous set on this timer: (ts_ns, value_ns).
     last_set: Option<(u64, u64)>,
 }
 
-/// The streaming countdown detector.
+/// The detector's trace-wide state. The per-timer [`TimerChain`] is
+/// owned by the caller — a map entry in [`CountdownDetector`], a slot in
+/// the composed analyzer — so both share this one fold.
 #[derive(Debug)]
-pub struct CountdownDetector {
+pub(crate) struct Chains {
     tolerance: SimDuration,
-    per_timer: FoldMap<TimerAddr, TimerState>,
     /// Processes whose every set is recorded as a Figure 4 dot.
     dot_pids: Vec<Pid>,
     dots: Vec<Dot>,
@@ -71,13 +76,10 @@ pub struct CountdownDetector {
     out_of_order_sets: u64,
 }
 
-impl CountdownDetector {
-    /// Creates a detector; `dot_pids` are the processes whose sets become
-    /// Figure 4 dots (Xorg in the paper).
-    pub fn new(tolerance: SimDuration, dot_pids: Vec<Pid>) -> Self {
-        CountdownDetector {
+impl Chains {
+    pub(crate) fn new(tolerance: SimDuration, dot_pids: Vec<Pid>) -> Self {
+        Chains {
             tolerance,
-            per_timer: FoldMap::default(),
             dot_pids,
             dots: Vec::new(),
             max_dots: 200_000,
@@ -85,24 +87,17 @@ impl CountdownDetector {
         }
     }
 
-    /// Feeds one event.
-    pub fn push(&mut self, event: &Event) {
-        if event.kind != EventKind::Set {
-            // Expiry/cancel breaks a countdown chain only through time
-            // gaps; the chain state keys off consecutive sets alone.
-            return;
-        }
-        let Some(value) = event.timeout else {
-            return;
-        };
-        let state = self.per_timer.entry(event.timer).or_default();
-        state.stats.sets += 1;
+    /// Folds one set of `value` into its timer's `chain`. Only valued
+    /// sets reach the detector: expiry/cancel breaks a countdown chain
+    /// only through time gaps, so the chain keys off consecutive sets.
+    pub(crate) fn fold(&mut self, chain: &mut TimerChain, event: &Event, value: SimDuration) {
+        chain.stats.sets += 1;
         if event.flags.countdown {
-            state.stats.flagged_sets += 1;
+            chain.stats.flagged_sets += 1;
         }
         let now_ns = event.ts.as_nanos();
         let value_ns = value.as_nanos();
-        if let Some((prev_ts, prev_value)) = state.last_set {
+        if let Some((prev_ts, prev_value)) = chain.last_set {
             if now_ns <= prev_ts {
                 // A backwards or duplicated timestamp used to collapse to
                 // "zero elapsed" via saturating_sub, so any re-issue of a
@@ -121,11 +116,11 @@ impl CountdownDetector {
                     && expected_remaining.abs_diff(value_ns) <= tol
                     && prev_value > 0
                 {
-                    state.stats.countdown_sets += 1;
+                    chain.stats.countdown_sets += 1;
                 }
             }
         }
-        state.last_set = Some((now_ns, value_ns));
+        chain.last_set = Some((now_ns, value_ns));
         if self.dot_pids.contains(&event.pid) && self.dots.len() < self.max_dots {
             self.dots.push(Dot {
                 t: event.ts.as_secs_f64(),
@@ -134,41 +129,79 @@ impl CountdownDetector {
         }
     }
 
+    /// The Figure 4 dot series.
+    pub(crate) fn dots(&self) -> &[Dot] {
+        &self.dots
+    }
+
+    /// Sets observed at or before the previous set's timestamp.
+    pub(crate) fn out_of_order_sets(&self) -> u64 {
+        self.out_of_order_sets
+    }
+}
+
+/// Aggregate detector-vs-ground-truth agreement over `stats`:
+/// (detected, flagged).
+pub(crate) fn validation_counts<'a>(stats: impl Iterator<Item = &'a CountdownStats>) -> (u64, u64) {
+    stats.fold((0, 0), |(detected, flagged), s| {
+        (detected + s.countdown_sets, flagged + s.flagged_sets)
+    })
+}
+
+/// The streaming countdown detector.
+#[derive(Debug)]
+pub struct CountdownDetector {
+    chains: Chains,
+    per_timer: FoldMap<TimerAddr, TimerChain>,
+}
+
+impl CountdownDetector {
+    /// Creates a detector; `dot_pids` are the processes whose sets become
+    /// Figure 4 dots (Xorg in the paper).
+    pub fn new(tolerance: SimDuration, dot_pids: Vec<Pid>) -> Self {
+        CountdownDetector {
+            chains: Chains::new(tolerance, dot_pids),
+            per_timer: FoldMap::default(),
+        }
+    }
+
+    /// Feeds one event.
+    pub fn push(&mut self, event: &Event) {
+        if let Some(value) = crate::valued_set(event) {
+            let chain = self.per_timer.entry(event.timer).or_default();
+            self.chains.fold(chain, event, value);
+        }
+    }
+
     /// Timers whose sets are mostly countdown re-issues.
     pub fn countdown_timers(&self, min_fraction: f64) -> Vec<TimerAddr> {
         self.per_timer
             .iter()
-            .filter(|(_, s)| s.stats.sets >= 4 && s.stats.countdown_fraction() >= min_fraction)
+            .filter(|(_, c)| c.stats.is_countdown_timer(min_fraction))
             .map(|(&addr, _)| addr)
             .collect()
     }
 
     /// Per-timer statistics.
     pub fn stats(&self, addr: TimerAddr) -> Option<CountdownStats> {
-        self.per_timer.get(&addr).map(|s| s.stats)
+        self.per_timer.get(&addr).map(|c| c.stats)
     }
 
     /// The Figure 4 dot series.
     pub fn dots(&self) -> &[Dot] {
-        &self.dots
+        self.chains.dots()
     }
 
     /// Sets observed at or before the previous set's timestamp on the
     /// same timer — clock anomalies excluded from countdown matching.
     pub fn out_of_order_sets(&self) -> u64 {
-        self.out_of_order_sets
+        self.chains.out_of_order_sets()
     }
 
     /// Aggregate detector-vs-ground-truth agreement over all timers with
     /// any flagged sets: (detected, flagged).
     pub fn validation_counts(&self) -> (u64, u64) {
-        let mut detected = 0;
-        let mut flagged = 0;
-        for s in self.per_timer.values() {
-            detected += s.stats.countdown_sets;
-            flagged += s.stats.flagged_sets;
-        }
-        (detected, flagged)
+        validation_counts(self.per_timer.values().map(|c| &c.stats))
     }
 }
 
@@ -176,6 +209,7 @@ impl CountdownDetector {
 mod tests {
     use super::*;
     use simtime::SimInstant;
+    use trace::EventKind;
 
     fn set(addr: TimerAddr, ms: u64, value_ms: u64) -> Event {
         Event::new(

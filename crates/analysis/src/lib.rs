@@ -27,7 +27,12 @@
 //!   name the fold every analyzer already is, and [`drive_chunks`] feeds
 //!   one bounded chunk at a time while reporting the peak resident count.
 //!
-//! [`TraceAnalyzer`] composes all of them behind one sink.
+//! [`TraceAnalyzer`] composes all of them behind one sink, in one fused
+//! pass per record: the timer address resolves once to a dense slot
+//! ([`slots`]) and every per-timer fold indexes that slot. Each component
+//! keeps its fold body in one place; its standalone map-keyed `push` is a
+//! thin lookup around the same body and doubles as the differential
+//! oracle for the slot-indexed path.
 
 pub mod analyzer;
 pub mod attribution;
@@ -37,6 +42,7 @@ pub mod fasthash;
 pub mod lifecycle;
 pub mod provenance;
 pub mod scatter;
+pub mod slots;
 pub mod summary;
 pub mod values;
 pub mod visitor;
@@ -45,4 +51,17 @@ pub use analyzer::{AnalyzerConfig, ClusterMode, Report, TraceAnalyzer};
 pub use attribution::AttributionTracker;
 pub use classify::{PatternClass, PatternMix};
 pub use lifecycle::{Outcome, Sample};
-pub use visitor::{drive_chunks, drive_views, EventColumns, EventVisitor, SampleVisitor};
+pub use visitor::{drive_chunks, EventVisitor, SampleVisitor};
+
+use simtime::SimDuration;
+use trace::{Event, EventKind};
+
+/// The value of a `Set` that carries one — the records the value
+/// histograms and the countdown detector fold.
+#[inline]
+pub(crate) fn valued_set(event: &Event) -> Option<SimDuration> {
+    if event.kind != EventKind::Set {
+        return None;
+    }
+    event.timeout
+}

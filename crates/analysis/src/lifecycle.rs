@@ -3,10 +3,13 @@
 //! A low-level trace is a flat stream of set/cancel/expire records; the
 //! analysis needs *episodes*: this timer was armed at `t0` with value `v`
 //! and ended at `t1` by expiring, being cancelled, or being re-armed
-//! (§3). Open episodes are keyed by timer address; completed episodes are
-//! emitted as [`Sample`]s and the address entry is dropped, so the map
-//! size is bounded by timer concurrency (≤ 84 in the paper's traces) even
-//! on Vista where addresses are allocated dynamically.
+//! (§3). Each timer owns one open-episode cell; completed episodes are
+//! emitted as [`Sample`]s and the cell is emptied. The composed analyzer
+//! keeps that cell in its per-distinct-timer slot state (one slot per
+//! address ever seen, so Vista's dynamically allocated KTIMERs each cost
+//! a slot), while the standalone [`LifecycleTracker`] keeps only open
+//! cells in a map bounded by timer concurrency (≤ 84 in the paper's
+//! traces).
 
 use simtime::{SimDuration, SimInstant};
 use trace::{Event, EventKind, OriginId, Pid, Space, Tid, TimerAddr};
@@ -70,7 +73,7 @@ impl Sample {
 
 /// An open (armed, not yet ended) episode.
 #[derive(Debug, Clone, Copy)]
-struct Open {
+pub(crate) struct Open {
     origin: OriginId,
     pid: Pid,
     tid: Tid,
@@ -89,10 +92,7 @@ struct Open {
 #[derive(Debug, Default)]
 pub struct LifecycleTracker {
     open: FoldMap<TimerAddr, Open>,
-    /// Peak number of simultaneously armed timers (Table 1/2 concurrency).
-    peak_concurrency: usize,
-    /// End events whose opening `Set` was never seen.
-    orphan_ends: u64,
+    episodes: Episodes,
 }
 
 impl LifecycleTracker {
@@ -104,10 +104,55 @@ impl LifecycleTracker {
     /// Feeds one event; returns the completed episode, if this event
     /// closed one.
     pub fn push(&mut self, event: &Event) -> Option<Sample> {
-        match event.kind {
-            EventKind::Init => None,
+        if event.kind == EventKind::Init {
+            return None;
+        }
+        let mut cell = self.open.remove(&event.timer);
+        let sample = self.episodes.fold(&mut cell, event);
+        if let Some(open) = cell {
+            self.open.insert(event.timer, open);
+        }
+        sample
+    }
+
+    /// Peak concurrency seen so far.
+    pub fn peak_concurrency(&self) -> usize {
+        self.episodes.peak_concurrency
+    }
+
+    /// Number of still-open episodes (armed timers).
+    pub fn open_count(&self) -> usize {
+        self.episodes.open
+    }
+
+    /// End events (cancel/expiry) that matched no open episode — evidence
+    /// of lost `Set` records in an incomplete trace.
+    pub fn orphan_ends(&self) -> u64 {
+        self.episodes.orphan_ends
+    }
+}
+
+/// The lifecycle fold's trace-wide counters. The per-timer state is one
+/// `Option<Open>` cell that the caller owns — a map entry in
+/// [`LifecycleTracker`], a slot in the composed analyzer.
+#[derive(Debug, Default)]
+pub(crate) struct Episodes {
+    /// Currently armed timers.
+    open: usize,
+    /// Peak number of simultaneously armed timers (Table 1/2 concurrency).
+    peak_concurrency: usize,
+    /// End events whose opening `Set` was never seen.
+    orphan_ends: u64,
+}
+
+impl Episodes {
+    /// Folds one event into its timer's open-episode `cell`; returns the
+    /// completed episode, if this event closed one.
+    pub(crate) fn fold(&mut self, cell: &mut Option<Open>, event: &Event) -> Option<Sample> {
+        let outcome = match event.kind {
+            EventKind::Init => return None,
             EventKind::Set => {
-                let new_open = Open {
+                let prev = cell.replace(Open {
                     origin: event.origin,
                     pid: event.pid,
                     tid: event.tid,
@@ -115,41 +160,35 @@ impl LifecycleTracker {
                     set_ts: event.ts,
                     timeout: event.timeout,
                     countdown_flag: event.flags.countdown,
-                };
-                let prev = self.open.insert(event.timer, new_open);
-                self.peak_concurrency = self.peak_concurrency.max(self.open.len());
-                prev.map(|o| close(event.timer, o, event.ts, Outcome::Reset))
+                });
+                if prev.is_none() {
+                    self.open += 1;
+                }
+                self.peak_concurrency = self.peak_concurrency.max(self.open);
+                return prev.map(|o| close(event.timer, o, event.ts, Outcome::Reset));
             }
-            EventKind::Cancel | EventKind::WaitSatisfied => match self.open.remove(&event.timer) {
-                Some(o) => Some(close(event.timer, o, event.ts, Outcome::Canceled)),
-                None => {
-                    self.orphan_ends += 1;
-                    None
-                }
-            },
-            EventKind::Expire | EventKind::WaitTimedOut => match self.open.remove(&event.timer) {
-                Some(o) => Some(close(event.timer, o, event.ts, Outcome::Expired)),
-                None => {
-                    self.orphan_ends += 1;
-                    None
-                }
-            },
+            EventKind::Cancel | EventKind::WaitSatisfied => Outcome::Canceled,
+            EventKind::Expire | EventKind::WaitTimedOut => Outcome::Expired,
+        };
+        match cell.take() {
+            Some(o) => {
+                self.open -= 1;
+                Some(close(event.timer, o, event.ts, outcome))
+            }
+            None => {
+                self.orphan_ends += 1;
+                None
+            }
         }
     }
 
     /// Peak concurrency seen so far.
-    pub fn peak_concurrency(&self) -> usize {
+    pub(crate) fn peak_concurrency(&self) -> usize {
         self.peak_concurrency
     }
 
-    /// Number of still-open episodes (armed timers).
-    pub fn open_count(&self) -> usize {
-        self.open.len()
-    }
-
-    /// End events (cancel/expiry) that matched no open episode — evidence
-    /// of lost `Set` records in an incomplete trace.
-    pub fn orphan_ends(&self) -> u64 {
+    /// End events that matched no open episode.
+    pub(crate) fn orphan_ends(&self) -> u64 {
         self.orphan_ends
     }
 }

@@ -7,8 +7,6 @@
 //! call-site labels, which is exactly what the authors recovered from
 //! stack traces.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 use trace::OriginId;
 
@@ -68,30 +66,37 @@ impl ProvenanceTracker {
         if self.total == 0 {
             return Vec::new();
         }
-        // Regroup by value bucket.
-        let mut by_value: HashMap<u64, Vec<(OriginId, u64)>> = HashMap::new();
+        // Per-value totals first: only the few values that pass the
+        // threshold need their origins gathered.
+        let mut totals: FoldMap<u64, u64> = FoldMap::default();
+        for (&(_, bucket), &count) in &self.counts {
+            *totals.entry(bucket).or_insert(0) += count;
+        }
+        let mut by_value: FoldMap<u64, Vec<(OriginId, u64)>> = totals
+            .into_iter()
+            .filter(|&(_, count)| 100.0 * count as f64 / self.total as f64 >= min_percent)
+            .map(|(bucket, _)| (bucket, Vec::new()))
+            .collect();
         for (&(origin, bucket), &count) in &self.counts {
-            by_value.entry(bucket).or_default().push((origin, count));
+            if let Some(origins) = by_value.get_mut(&bucket) {
+                origins.push((origin, count));
+            }
         }
         let mut rows: Vec<ProvenanceRow> = by_value
             .into_iter()
-            .filter_map(|(bucket, mut origins)| {
+            .map(|(bucket, mut origins)| {
                 let count: u64 = origins.iter().map(|&(_, c)| c).sum();
-                let percent = 100.0 * count as f64 / self.total as f64;
-                if percent < min_percent {
-                    return None;
-                }
                 // Ties broken by origin id for deterministic output.
                 origins.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
                 origins.truncate(max_origins);
-                Some(ProvenanceRow {
+                ProvenanceRow {
                     seconds: (bucket * BUCKET_NS) as f64 / 1e9,
                     count,
                     origins: origins
                         .into_iter()
                         .map(|(o, c)| (resolve(o), class_of(o).label().to_owned(), c))
                         .collect(),
-                })
+                }
             })
             .collect();
         rows.sort_by(|a, b| a.seconds.partial_cmp(&b.seconds).expect("finite"));

@@ -8,6 +8,7 @@
 //! the past are not plotted. … The figures are cut off above 250 %."
 
 use serde::{Deserialize, Serialize};
+use simtime::SimDuration;
 
 use crate::fasthash::FoldMap;
 use crate::lifecycle::{Outcome, Sample};
@@ -32,16 +33,45 @@ pub struct ScatterPoint {
 ///
 /// Points are bucketed at 40 buckets/decade in x (log scale, like the
 /// paper's axis) and 1 % in y, with per-bucket outcome counts.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ScatterBuilder {
     buckets: FoldMap<(i32, u32), (u64, u64)>, // (expired, canceled)
     dropped_immediate: u64,
+    /// Direct-mapped memo of timeout ns → x bucket. Timers re-use a
+    /// handful of values, and the `log10` would otherwise dominate the
+    /// per-episode cost. Key 0 marks an empty entry (zero timeouts never
+    /// reach the memo).
+    x_memo: Box<[(u64, i32); X_MEMO_SLOTS]>,
+}
+
+/// Entries in [`ScatterBuilder`]'s x-bucket memo (a power of two).
+const X_MEMO_SLOTS: usize = 256;
+
+impl Default for ScatterBuilder {
+    fn default() -> Self {
+        ScatterBuilder {
+            buckets: FoldMap::default(),
+            dropped_immediate: 0,
+            x_memo: Box::new([(0, 0); X_MEMO_SLOTS]),
+        }
+    }
 }
 
 impl ScatterBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The log-scale x bucket of a non-zero timeout.
+    fn x_of(&mut self, timeout: SimDuration) -> i32 {
+        let ns = timeout.as_nanos();
+        let idx = (ns.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as usize % X_MEMO_SLOTS;
+        let entry = &mut self.x_memo[idx];
+        if entry.0 != ns {
+            *entry = (ns, (timeout.as_secs_f64().log10() * 40.0).round() as i32);
+        }
+        entry.1
     }
 
     /// Feeds one completed episode. Resets are not end-points in the
@@ -61,7 +91,7 @@ impl ScatterBuilder {
             return;
         };
         let percent = percent.min(PERCENT_CUTOFF);
-        let x = (timeout.as_secs_f64().log10() * 40.0).round() as i32;
+        let x = self.x_of(timeout);
         let y = percent.round() as u32;
         let entry = self.buckets.entry((x, y)).or_insert((0, 0));
         match sample.outcome {

@@ -8,7 +8,8 @@
 //! for at least 2 % of sets.
 
 use serde::{Deserialize, Serialize};
-use trace::{Event, EventKind, Pid, Space};
+use simtime::SimDuration;
+use trace::{Event, Pid, Space};
 
 use crate::fasthash::{FoldMap, FoldSet};
 
@@ -28,10 +29,33 @@ pub struct ValueRow {
     pub percent: f64,
 }
 
-/// A streaming value histogram with optional filters.
+/// Interns 0.1 ms value buckets to dense ids in first-seen order, so a
+/// histogram's counts are a plain vector. One interner can serve several
+/// histograms over the same sets (the composed analyzer's three).
 #[derive(Debug, Default)]
-pub struct ValueHistogram {
-    counts: FoldMap<u64, u64>,
+pub(crate) struct ValueBuckets {
+    ids: FoldMap<u64, u32>,
+    buckets: Vec<u64>,
+}
+
+impl ValueBuckets {
+    /// The dense id of `value`'s bucket.
+    #[inline]
+    pub(crate) fn intern(&mut self, value: SimDuration) -> u32 {
+        let bucket = round_half_up(value.as_nanos(), BUCKET_NS);
+        let next = self.buckets.len() as u32;
+        let id = *self.ids.entry(bucket).or_insert(next);
+        if id == next {
+            self.buckets.push(bucket);
+        }
+        id
+    }
+}
+
+/// One histogram's filters and dense per-bucket counts.
+#[derive(Debug, Default)]
+pub(crate) struct ValueCounts {
+    counts: Vec<u64>,
     total: u64,
     /// Only count user-space sets (Figure 6).
     user_only: bool,
@@ -39,81 +63,45 @@ pub struct ValueHistogram {
     exclude_pids: FoldSet<Pid>,
 }
 
-impl ValueHistogram {
-    /// Creates an unfiltered histogram (Figures 3 and 7).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a user-space-only histogram (Figure 6).
-    pub fn user_only() -> Self {
-        ValueHistogram {
-            user_only: true,
+impl ValueCounts {
+    pub(crate) fn new(user_only: bool, exclude_pids: impl IntoIterator<Item = Pid>) -> Self {
+        ValueCounts {
+            user_only,
+            exclude_pids: exclude_pids.into_iter().collect(),
             ..Self::default()
         }
     }
 
-    /// Creates a histogram excluding the given processes (Figure 5).
-    pub fn excluding(pids: impl IntoIterator<Item = Pid>) -> Self {
-        ValueHistogram {
-            exclude_pids: pids.into_iter().collect(),
-            ..Self::default()
-        }
-    }
-
-    /// User-space-only histogram that also excludes processes (Figure 6).
-    pub fn user_only_excluding(pids: impl IntoIterator<Item = Pid>) -> Self {
-        ValueHistogram {
-            user_only: true,
-            exclude_pids: pids.into_iter().collect(),
-            ..Self::default()
-        }
-    }
-
-    /// Feeds one event (only `Set` events with a known value count).
-    pub fn push(&mut self, event: &Event) {
-        if event.kind != EventKind::Set {
+    /// Counts one valued set, already interned as bucket `id`, if it
+    /// passes this histogram's filters.
+    #[inline]
+    pub(crate) fn fold(&mut self, event: &Event, id: u32) {
+        if self.user_only && event.space != Space::User {
             return;
         }
-        let Some(timeout) = event.timeout else {
-            return;
-        };
-        self.record_bucket(event.space, event.pid, Self::bucket_of(timeout.as_nanos()));
-    }
-
-    /// The bucket a raw timeout value falls into — shared between this
-    /// histogram's own `push` and the columnar path, which computes the
-    /// bucket once for the three filtered instances.
-    pub(crate) fn bucket_of(timeout_ns: u64) -> u64 {
-        round_half_up(timeout_ns, BUCKET_NS)
-    }
-
-    /// Counts one pre-bucketed set if it passes this instance's filters.
-    pub(crate) fn record_bucket(&mut self, space: Space, pid: Pid, bucket: u64) {
-        if self.user_only && space != Space::User {
+        if !self.exclude_pids.is_empty() && self.exclude_pids.contains(&event.pid) {
             return;
         }
-        if !self.exclude_pids.is_empty() && self.exclude_pids.contains(&pid) {
-            return;
+        let idx = id as usize;
+        if idx >= self.counts.len() {
+            self.counts.resize(idx + 1, 0);
         }
-        *self.counts.entry(bucket).or_insert(0) += 1;
+        self.counts[idx] += 1;
         self.total += 1;
     }
 
-    /// Total counted sets.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Rows for every value at or above `min_percent`, sorted by value.
-    pub fn rows(&self, min_percent: f64) -> Vec<ValueRow> {
+    /// Rows for every value at or above `min_percent`, sorted by value;
+    /// `buckets` is the interner that assigned this histogram's ids.
+    pub(crate) fn rows(&self, buckets: &ValueBuckets, min_percent: f64) -> Vec<ValueRow> {
         if self.total == 0 {
             return Vec::new();
         }
         let mut rows: Vec<ValueRow> = self
             .counts
             .iter()
-            .filter_map(|(&bucket, &count)| {
+            .zip(&buckets.buckets)
+            .filter(|&(&count, _)| count > 0)
+            .filter_map(|(&count, &bucket)| {
                 let percent = 100.0 * count as f64 / self.total as f64;
                 if percent < min_percent {
                     return None;
@@ -130,11 +118,69 @@ impl ValueHistogram {
         rows.sort_by(|a, b| a.seconds.partial_cmp(&b.seconds).expect("finite"));
         rows
     }
+}
 
-    /// Total percentage covered by the rows at or above `min_percent`
-    /// (the paper quotes e.g. "97 % of the timeouts are shown").
+/// Total percentage covered by `rows` (the paper quotes e.g. "97 % of
+/// the timeouts are shown").
+pub fn coverage(rows: &[ValueRow]) -> f64 {
+    rows.iter().map(|r| r.percent).sum()
+}
+
+/// A streaming value histogram with optional filters.
+#[derive(Debug, Default)]
+pub struct ValueHistogram {
+    buckets: ValueBuckets,
+    counts: ValueCounts,
+}
+
+impl ValueHistogram {
+    /// Creates an unfiltered histogram (Figures 3 and 7).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Creates a user-space-only histogram (Figure 6).
+    pub fn user_only() -> Self {
+        Self::user_only_excluding([])
+    }
+
+    /// Creates a histogram excluding the given processes (Figure 5).
+    pub fn excluding(pids: impl IntoIterator<Item = Pid>) -> Self {
+        ValueHistogram {
+            counts: ValueCounts::new(false, pids),
+            ..Self::default()
+        }
+    }
+
+    /// User-space-only histogram that also excludes processes (Figure 6).
+    pub fn user_only_excluding(pids: impl IntoIterator<Item = Pid>) -> Self {
+        ValueHistogram {
+            counts: ValueCounts::new(true, pids),
+            ..Self::default()
+        }
+    }
+
+    /// Feeds one event (only `Set` events with a known value count).
+    pub fn push(&mut self, event: &Event) {
+        if let Some(value) = crate::valued_set(event) {
+            let id = self.buckets.intern(value);
+            self.counts.fold(event, id);
+        }
+    }
+
+    /// Total counted sets.
+    pub fn total(&self) -> u64 {
+        self.counts.total
+    }
+
+    /// Rows for every value at or above `min_percent`, sorted by value.
+    pub fn rows(&self, min_percent: f64) -> Vec<ValueRow> {
+        self.counts.rows(&self.buckets, min_percent)
+    }
+
+    /// Total percentage covered by the rows at or above `min_percent`.
     pub fn coverage(&self, min_percent: f64) -> f64 {
-        self.rows(min_percent).iter().map(|r| r.percent).sum()
+        coverage(&self.rows(min_percent))
     }
 }
 
@@ -147,8 +193,8 @@ fn round_half_up(v: u64, quantum: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simtime::{SimDuration, SimInstant};
-    use trace::Event;
+    use simtime::SimInstant;
+    use trace::{Event, EventKind};
 
     fn set_ev(pid: Pid, space: Space, secs: f64) -> Event {
         Event::new(SimInstant::BOOT, EventKind::Set, 1, 0)

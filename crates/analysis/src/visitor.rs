@@ -8,18 +8,8 @@
 //! driver: it buffers at most `chunk` events, hands each full buffer to
 //! the visitor, and reports the peak number of events it ever held — the
 //! quantity the telemetry plane gauges as the pipeline's memory bound.
-//!
-//! The zero-copy counterpart is [`drive_views`]: it fills an
-//! [`EventColumns`] structure-of-arrays chunk straight from borrowed
-//! [`EventView`]s — no owned [`Event`] is ever materialised on the way in
-//! — and hands the columns to [`EventVisitor::visit_columns`]. Column-
-//! aware visitors (the composed [`TraceAnalyzer`]) fold the parallel
-//! arrays directly; everything else falls back to row materialisation,
-//! so the two drivers are observably equivalent (pinned by the
-//! `streaming_equivalence_prop` suite).
 
-use simtime::{SimDuration, SimInstant};
-use trace::{Event, EventFlags, EventKind, EventView, Space};
+use trace::Event;
 
 use crate::analyzer::TraceAnalyzer;
 use crate::countdown::CountdownDetector;
@@ -29,149 +19,11 @@ use crate::scatter::ScatterBuilder;
 use crate::summary::{RateSeries, TimerPopulation};
 use crate::values::ValueHistogram;
 
-/// A structure-of-arrays chunk of decoded events.
-///
-/// Each field of the row-oriented [`Event`] becomes its own parallel
-/// array, so column-major folds (count this, bucket that) touch only the
-/// bytes they read. Optional nanosecond fields use `u64::MAX` as the
-/// "unknown" sentinel — the same encoding as the binary record format,
-/// which means a [`EventView`] fills a column with two plain loads and no
-/// `Option` round-trip (and, like the wire format, an actual value of
-/// `u64::MAX` ns is unrepresentable).
-#[derive(Debug, Default)]
-pub struct EventColumns {
-    /// Timestamps, raw nanoseconds.
-    pub ts_nanos: Vec<u64>,
-    /// Operation kinds.
-    pub kinds: Vec<EventKind>,
-    /// Timer identities.
-    pub timers: Vec<u64>,
-    /// Relative timeouts in nanoseconds ([`EventColumns::NONE_NS`] =
-    /// unknown).
-    pub timeout_ns: Vec<u64>,
-    /// Absolute expiries in nanoseconds ([`EventColumns::NONE_NS`] =
-    /// unknown).
-    pub expires_ns: Vec<u64>,
-    /// Interned provenance labels.
-    pub origins: Vec<u32>,
-    /// Owning processes.
-    pub pids: Vec<u32>,
-    /// Owning threads.
-    pub tids: Vec<u32>,
-    /// User/kernel space of each operation.
-    pub spaces: Vec<Space>,
-    /// Auxiliary flags.
-    pub flags: Vec<EventFlags>,
-}
-
-impl EventColumns {
-    /// Sentinel for absent optional nanosecond fields (mirrors the codec).
-    pub const NONE_NS: u64 = u64::MAX;
-
-    /// Creates empty columns with room for `n` rows each.
-    pub fn with_capacity(n: usize) -> Self {
-        EventColumns {
-            ts_nanos: Vec::with_capacity(n),
-            kinds: Vec::with_capacity(n),
-            timers: Vec::with_capacity(n),
-            timeout_ns: Vec::with_capacity(n),
-            expires_ns: Vec::with_capacity(n),
-            origins: Vec::with_capacity(n),
-            pids: Vec::with_capacity(n),
-            tids: Vec::with_capacity(n),
-            spaces: Vec::with_capacity(n),
-            flags: Vec::with_capacity(n),
-        }
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.kinds.len()
-    }
-
-    /// `true` when no rows are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.kinds.is_empty()
-    }
-
-    /// Clears all columns, keeping their capacity.
-    pub fn clear(&mut self) {
-        self.ts_nanos.clear();
-        self.kinds.clear();
-        self.timers.clear();
-        self.timeout_ns.clear();
-        self.expires_ns.clear();
-        self.origins.clear();
-        self.pids.clear();
-        self.tids.clear();
-        self.spaces.clear();
-        self.flags.clear();
-    }
-
-    /// Appends one row straight off a borrowed record view.
-    pub fn push_view(&mut self, view: &EventView<'_>) {
-        self.ts_nanos.push(view.ts_nanos());
-        self.kinds.push(view.kind());
-        self.timers.push(view.timer());
-        self.timeout_ns.push(view.timeout_ns_raw());
-        self.expires_ns.push(view.expires_ns_raw());
-        self.origins.push(view.origin());
-        self.pids.push(view.pid());
-        self.tids.push(view.tid());
-        self.spaces.push(view.space());
-        self.flags.push(view.flags());
-    }
-
-    /// Appends one row from an owned event.
-    pub fn push_event(&mut self, event: &Event) {
-        self.ts_nanos.push(event.ts.as_nanos());
-        self.kinds.push(event.kind);
-        self.timers.push(event.timer);
-        self.timeout_ns
-            .push(event.timeout.map_or(Self::NONE_NS, |d| d.as_nanos()));
-        self.expires_ns
-            .push(event.expires.map_or(Self::NONE_NS, |i| i.as_nanos()));
-        self.origins.push(event.origin);
-        self.pids.push(event.pid);
-        self.tids.push(event.tid);
-        self.spaces.push(event.space);
-        self.flags.push(event.flags);
-    }
-
-    /// Materialises row `i` as an owned event (the row-major fallback and
-    /// the bridge for order-sensitive per-event folds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn event(&self, i: usize) -> Event {
-        Event {
-            ts: SimInstant::from_nanos(self.ts_nanos[i]),
-            kind: self.kinds[i],
-            timer: self.timers[i],
-            timeout: match self.timeout_ns[i] {
-                Self::NONE_NS => None,
-                ns => Some(SimDuration::from_nanos(ns)),
-            },
-            expires: match self.expires_ns[i] {
-                Self::NONE_NS => None,
-                ns => Some(SimInstant::from_nanos(ns)),
-            },
-            origin: self.origins[i],
-            pid: self.pids[i],
-            tid: self.tids[i],
-            space: self.spaces[i],
-            flags: self.flags[i],
-        }
-    }
-}
-
 /// An incremental consumer of trace events.
 ///
-/// Implementors fold events into internal state; `visit_chunk` and
-/// `visit_columns` exist so drivers can amortise per-call overhead, and
-/// default to per-event delivery — semantics must never depend on chunk
-/// boundaries or on which delivery shape a driver picked.
+/// Implementors fold events into internal state; `visit_chunk` exists so
+/// drivers can amortise per-call overhead, and defaults to per-event
+/// delivery — semantics must never depend on chunk boundaries.
 pub trait EventVisitor {
     /// Feeds one event.
     fn visit_event(&mut self, event: &Event);
@@ -180,14 +32,6 @@ pub trait EventVisitor {
     fn visit_chunk(&mut self, events: &[Event]) {
         for event in events {
             self.visit_event(event);
-        }
-    }
-
-    /// Feeds a columnar batch. Equivalent to `visit_event` in order over
-    /// the materialised rows.
-    fn visit_columns(&mut self, cols: &EventColumns) {
-        for i in 0..cols.len() {
-            self.visit_event(&cols.event(i));
         }
     }
 }
@@ -205,10 +49,6 @@ impl EventVisitor for TraceAnalyzer {
 
     fn visit_chunk(&mut self, events: &[Event]) {
         self.push_chunk(events);
-    }
-
-    fn visit_columns(&mut self, cols: &EventColumns) {
-        self.push_columns(cols);
     }
 }
 
@@ -274,35 +114,6 @@ where
     peak
 }
 
-/// The zero-copy driver: fills an [`EventColumns`] chunk of at most
-/// `chunk` rows (a `chunk` of 0 is treated as 1) straight from borrowed
-/// views, delivers each full chunk via
-/// [`EventVisitor::visit_columns`], and returns the peak number of rows
-/// buffered at once. Observably identical to [`drive_chunks`] over the
-/// materialised events.
-pub fn drive_views<'a, I, V>(views: I, chunk: usize, visitor: &mut V) -> usize
-where
-    I: IntoIterator<Item = EventView<'a>>,
-    V: EventVisitor + ?Sized,
-{
-    let chunk = chunk.max(1);
-    let mut cols = EventColumns::with_capacity(chunk);
-    let mut peak = 0usize;
-    for view in views {
-        cols.push_view(&view);
-        if cols.len() >= chunk {
-            peak = peak.max(cols.len());
-            visitor.visit_columns(&cols);
-            cols.clear();
-        }
-    }
-    if !cols.is_empty() {
-        peak = peak.max(cols.len());
-        visitor.visit_columns(&cols);
-    }
-    peak
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,73 +164,5 @@ mod tests {
         let peak = drive_chunks(events(10), 0, &mut pop);
         assert_eq!(peak, 1);
         assert_eq!(pop.count(), 5);
-    }
-
-    #[test]
-    fn columnar_delivery_matches_per_event() {
-        let stream = events(101);
-        let strings = StringTable::new();
-        let mut whole = TraceAnalyzer::new(AnalyzerConfig::linux());
-        for e in &stream {
-            whole.visit_event(e);
-        }
-        let baseline = serde_json::to_string(&whole.finish(&strings)).unwrap();
-        for chunk in [1usize, 7, 64] {
-            let mut chunked = TraceAnalyzer::new(AnalyzerConfig::linux());
-            let mut cols = EventColumns::with_capacity(chunk);
-            for e in &stream {
-                cols.push_event(e);
-                if cols.len() >= chunk {
-                    chunked.visit_columns(&cols);
-                    cols.clear();
-                }
-            }
-            if !cols.is_empty() {
-                chunked.visit_columns(&cols);
-            }
-            let got = serde_json::to_string(&chunked.finish(&strings)).unwrap();
-            assert_eq!(baseline, got, "columnar chunk {chunk} diverged");
-        }
-    }
-
-    #[test]
-    fn columns_round_trip_rows() {
-        let stream = events(9);
-        let mut cols = EventColumns::default();
-        for e in &stream {
-            cols.push_event(e);
-        }
-        assert_eq!(cols.len(), stream.len());
-        for (i, e) in stream.iter().enumerate() {
-            assert_eq!(&cols.event(i), e);
-        }
-        cols.clear();
-        assert!(cols.is_empty());
-    }
-
-    #[test]
-    fn drive_views_matches_drive_chunks() {
-        let stream = events(57);
-        let mut encoded: Vec<u8> = Vec::new();
-        for e in &stream {
-            trace::codec::encode(e, &mut encoded);
-        }
-        let views: Vec<trace::EventView<'_>> = encoded
-            .chunks(trace::codec::RECORD_SIZE)
-            .map(|record| trace::codec::decode_view(record).expect("clean record"))
-            .collect();
-        let strings = StringTable::new();
-        for chunk in [1usize, 8, 4096] {
-            let mut rows = TraceAnalyzer::new(AnalyzerConfig::linux());
-            let rows_peak = drive_chunks(stream.iter().copied(), chunk, &mut rows);
-            let mut cols = TraceAnalyzer::new(AnalyzerConfig::linux());
-            let cols_peak = drive_views(views.iter().copied(), chunk, &mut cols);
-            assert_eq!(rows_peak, cols_peak, "peaks diverged at chunk {chunk}");
-            assert_eq!(
-                serde_json::to_string(&rows.finish(&strings)).unwrap(),
-                serde_json::to_string(&cols.finish(&strings)).unwrap(),
-                "view-driven report diverged at chunk {chunk}"
-            );
-        }
     }
 }

@@ -6,10 +6,9 @@
 //! countdown/classify bugfixes guard). Chunk boundaries are an
 //! implementation detail; they must never leak into `FigureData`.
 
-use analysis::{drive_chunks, drive_views, AnalyzerConfig, EventVisitor, TraceAnalyzer};
+use analysis::{drive_chunks, AnalyzerConfig, EventVisitor, TraceAnalyzer};
 use proptest::prelude::*;
 use simtime::{SimDuration, SimInstant};
-use trace::codec::RECORD_SIZE;
 use trace::{Event, EventKind, Space, StringTable};
 
 #[derive(Debug, Clone)]
@@ -109,22 +108,6 @@ fn report_of(events: &[Event], cfg: AnalyzerConfig, chunk: Option<usize>) -> (St
     (serde_json::to_string(&report).unwrap(), peak)
 }
 
-/// Runs the zero-copy path: events are encoded to the wire format, then
-/// streamed as borrowed [`trace::EventView`]s through [`drive_views`].
-fn report_of_views(events: &[Event], cfg: AnalyzerConfig, chunk: usize) -> (String, usize) {
-    let mut wire = Vec::with_capacity(events.len() * RECORD_SIZE);
-    for event in events {
-        trace::codec::encode(event, &mut wire);
-    }
-    let views = wire
-        .chunks_exact(RECORD_SIZE)
-        .map(|rec| trace::codec::decode_view(rec).expect("just encoded"));
-    let mut analyzer = TraceAnalyzer::new(cfg);
-    let peak = drive_views(views, chunk, &mut analyzer);
-    let report = analyzer.finish(&StringTable::new());
-    (serde_json::to_string(&report).unwrap(), peak)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -145,30 +128,6 @@ proptest! {
                     let (chunked, peak) = report_of(&events, cfg.clone(), Some(chunk));
                     prop_assert!(peak <= chunk, "peak {} exceeds chunk {}", peak, chunk);
                     prop_assert_eq!(&baseline, &chunked, "chunk {} diverged", chunk);
-                }
-            }
-        }
-    }
-
-    /// The zero-copy columnar path ([`drive_views`] over borrowed wire
-    /// records, dispatched as SoA columns) is byte-identical to the owned
-    /// chunked path ([`drive_chunks`]) for arbitrary event sequences, at
-    /// every chunk size, drop level and cluster mode — and honours the
-    /// same bounded-residency contract.
-    #[test]
-    fn zero_copy_views_match_owned_chunks(
-        raws in proptest::collection::vec(arb_event(), 0..400)
-    ) {
-        for keep in LEVELS {
-            let events = surviving(&raws, keep);
-            for cfg in [AnalyzerConfig::linux(), AnalyzerConfig::vista()] {
-                let (baseline, _) = report_of(&events, cfg.clone(), Some(1));
-                for chunk in CHUNKS {
-                    let (owned, owned_peak) = report_of(&events, cfg.clone(), Some(chunk));
-                    let (viewed, viewed_peak) = report_of_views(&events, cfg.clone(), chunk);
-                    prop_assert_eq!(owned_peak, viewed_peak, "peaks diverged at chunk {}", chunk);
-                    prop_assert_eq!(&owned, &viewed, "views diverged at chunk {}", chunk);
-                    prop_assert_eq!(&baseline, &viewed, "views diverged from per-event");
                 }
             }
         }

@@ -3,8 +3,9 @@
 //! Criterion gives interactive statistics, but nothing in the repo
 //! remembered how fast the hot paths *were* — so regressions could land
 //! silently. This bin times a fixed micro-suite (timer-queue structures,
-//! flat and sharded; the streaming-analysis event path) with hand-rolled
-//! best-of-N wall timing and emits a `{name: ns_per_op}` map:
+//! flat and sharded; the streaming-analysis event path, synthetic and
+//! over one real collected trace) with hand-rolled best-of-N wall timing
+//! and emits a `{name: ns_per_op}` map:
 //!
 //! - `bench_all --write[=PATH]` records the baseline (default
 //!   `BENCH_baseline.json`, committed at the repo root);
@@ -16,8 +17,8 @@
 //!   not percent-level noise. The rows the zero-copy refactor sped up
 //!   ≥2× carry a tighter 2× gate: their baseline was re-recorded after
 //!   the speedup, so even at 2× the gate holds the *old* cost as a hard
-//!   ceiling — losing the columnar dispatch, the fast hasher or the
-//!   arena would trip it on any machine;
+//!   ceiling — losing the analyzer's slot-indexed fold, the fast hasher
+//!   or the arena would trip it on any machine;
 //! - with no flag it just prints the table.
 
 use std::collections::BTreeMap;
@@ -126,6 +127,38 @@ fn bench_analysis_chunk() -> f64 {
     })
 }
 
+/// The analyzer's per-record fold cost on a real trace: the Linux
+/// Firefox paper spec at 120 s, simulated and collected in-process, then
+/// folded in the streaming runner's 4096-event chunks. The synthetic
+/// `analysis_chunk` row (all `Set`s, one origin, no episodes closing)
+/// underestimates this path.
+fn bench_analysis_fold_real() -> f64 {
+    use analysis::EventVisitor;
+    use timerstudy::{figures, Os, Workload};
+    let spec = figures::paper_specs(simtime::SimDuration::from_secs(120), 7)
+        .into_iter()
+        .find(|s| s.os == Os::Linux && s.workload == Workload::Firefox)
+        .expect("the paper specs include Linux Firefox");
+    let mut kernel = workloads::run_linux(
+        spec.workload,
+        spec.seed,
+        spec.duration,
+        Box::new(trace::CollectSink::default()),
+    );
+    let events = kernel
+        .log_mut()
+        .take_collected_events()
+        .expect("the trace sink is a CollectSink");
+    let cfg = timerstudy::experiment::analyzer_config(spec.os, spec.workload);
+    time_ns_per_op(events.len() as u64, || {
+        let mut analyzer = analysis::TraceAnalyzer::new(cfg.clone());
+        for chunk in events.chunks(timerstudy::ANALYSIS_CHUNK_EVENTS) {
+            analyzer.visit_chunk(chunk);
+        }
+        analyzer.counts().accesses
+    })
+}
+
 /// The attribution tracker's per-event fold cost — the provenance
 /// tables the run report carries per experiment.
 fn bench_attribution_fold() -> f64 {
@@ -174,6 +207,7 @@ fn run_suite() -> BTreeMap<String, f64> {
         );
     }
     results.insert("analysis_chunk".to_string(), bench_analysis_chunk());
+    results.insert("analysis_fold/real".to_string(), bench_analysis_fold_real());
     results.insert("attribution_fold".to_string(), bench_attribution_fold());
     results
 }
