@@ -23,8 +23,8 @@
 use serde::{Deserialize, Serialize};
 use simtime::SimDuration;
 
-use crate::fasthash::FoldMap;
 use crate::lifecycle::{Outcome, Sample};
+use simtime::fasthash::FoldMap;
 
 /// The pattern classes of §4.1.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use simtime::SimDuration;
 use trace::{Event, Pid, TimerAddr};
 
-use crate::fasthash::FoldMap;
+use simtime::fasthash::FoldMap;
 
 /// Per-timer countdown statistics.
 #[derive(Debug, Default, Clone, Copy, Serialize, Deserialize)]

@@ -14,7 +14,7 @@
 use simtime::{SimDuration, SimInstant};
 use trace::{Event, EventKind, OriginId, Pid, Space, Tid, TimerAddr};
 
-use crate::fasthash::FoldMap;
+use simtime::fasthash::FoldMap;
 
 /// How an episode ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -11,8 +11,8 @@ use serde::{Deserialize, Serialize};
 use trace::OriginId;
 
 use crate::classify::PatternClass;
-use crate::fasthash::FoldMap;
 use crate::lifecycle::Sample;
+use simtime::fasthash::FoldMap;
 
 /// Histogram bucket resolution: 0.1 ms (matches `values`).
 const BUCKET_NS: u64 = 100_000;

@@ -10,8 +10,8 @@
 use serde::{Deserialize, Serialize};
 use simtime::SimDuration;
 
-use crate::fasthash::FoldMap;
 use crate::lifecycle::{Outcome, Sample};
+use simtime::fasthash::FoldMap;
 
 /// Maximum plotted percentage (the paper's cut-off).
 pub const PERCENT_CUTOFF: f64 = 250.0;

@@ -15,8 +15,8 @@
 use trace::{OriginId, TimerAddr};
 
 use crate::countdown::TimerChain;
-use crate::fasthash::FoldMap;
 use crate::lifecycle::Open;
+use simtime::fasthash::FoldMap;
 
 /// Origin ids below this bound index `ByOrigin`'s vector; larger ids
 /// (never produced by a real string table, which interns tens of labels)

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 use trace::{Event, EventCounts, EventKind, Pid, TimerAddr};
 
-use crate::fasthash::{FoldMap, FoldSet};
+use simtime::fasthash::{FoldMap, FoldSet};
 
 /// One workload's trace summary — one column of Table 1 / Table 2.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -84,6 +84,13 @@ impl TimerPopulation {
     }
 }
 
+/// Seconds of trace a [`RateSeries`] keeps per-second counts for: 2²⁰ s,
+/// about 12 days — far past any run (30 simulated minutes by default,
+/// hours under `--scale`). A record stamped later can only come from a
+/// corrupt timestamp, and must not size the series: at `u64::MAX` ns it
+/// would ask for ~70 GB.
+pub const RATE_HORIZON_SECS: u64 = 1 << 20;
+
 /// Timers-set-per-second, grouped (Figure 1's Outlook / Browser / System /
 /// Kernel lines).
 #[derive(Debug)]
@@ -102,6 +109,8 @@ pub struct RateSeries {
     /// the first time; every later set from that pid is one integer
     /// lookup — this fold sits on every event of the hot path.
     pid_slot: FoldMap<Pid, usize>,
+    /// Sets stamped at or past [`RATE_HORIZON_SECS`], kept out of `data`.
+    beyond_horizon: u64,
 }
 
 impl RateSeries {
@@ -114,6 +123,7 @@ impl RateSeries {
             names: Vec::new(),
             data: Vec::new(),
             pid_slot: FoldMap::default(),
+            beyond_horizon: 0,
         }
     }
 
@@ -143,12 +153,23 @@ impl RateSeries {
                 slot
             }
         };
-        let sec = (event.ts.as_nanos() / 1_000_000_000) as usize;
+        let sec = event.ts.as_nanos() / 1_000_000_000;
+        if sec >= RATE_HORIZON_SECS {
+            self.beyond_horizon += 1;
+            return;
+        }
+        let sec = sec as usize;
         let series = &mut self.data[slot];
         if series.len() <= sec {
             series.resize(sec + 1, 0);
         }
         series[sec] += 1;
+    }
+
+    /// Sets dropped from the series for a timestamp at or past
+    /// [`RATE_HORIZON_SECS`].
+    pub fn beyond_horizon(&self) -> u64 {
+        self.beyond_horizon
     }
 
     /// The per-second series for `group`.
@@ -215,6 +236,21 @@ mod tests {
         assert_eq!(rs.series("System").len(), 10);
         assert_eq!(rs.mean_rate("Kernel", 10), 1.0);
         assert_eq!(rs.group_names(), vec!["Kernel", "Outlook", "System"]);
+    }
+
+    #[test]
+    fn sets_past_the_horizon_are_counted_not_stored() {
+        let mut rs = RateSeries::new(HashMap::new());
+        rs.push(&set_at(1, 3));
+        rs.push(&set_at(1, RATE_HORIZON_SECS - 1));
+        let mut corrupt = set_at(1, 0);
+        corrupt.ts = SimInstant::from_nanos(u64::MAX);
+        rs.push(&corrupt);
+        rs.push(&set_at(1, RATE_HORIZON_SECS));
+        assert_eq!(rs.beyond_horizon(), 2);
+        let series = rs.series("System");
+        assert_eq!(series.len() as u64, RATE_HORIZON_SECS);
+        assert_eq!(series.iter().map(|&c| c as u64).sum::<u64>(), 2);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use simtime::SimDuration;
 use trace::{Event, Pid, Space};
 
-use crate::fasthash::{FoldMap, FoldSet};
+use simtime::fasthash::{FoldMap, FoldSet};
 
 /// Histogram bucket resolution: 0.1 ms.
 const BUCKET_NS: u64 = 100_000;

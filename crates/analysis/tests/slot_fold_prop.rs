@@ -293,3 +293,33 @@ fn corrupt_origin_id_is_folded_not_allocated() {
     assert_eq!(report.provenance.len(), 1);
     assert_eq!(report.provenance[0].origins[0].0, "?");
 }
+
+/// A record whose timestamp is corrupt (`u64::MAX` ns, ~584 years) must
+/// neither size the per-second rate series nor abort: the analyzer
+/// finishes, counts the set, and the series keeps only the valid second.
+#[test]
+fn corrupt_timestamp_is_counted_not_allocated() {
+    let corrupt = Event::new(SimInstant::from_nanos(u64::MAX), EventKind::Set, 0x100, 1)
+        .with_timeout(SimDuration::from_millis(5))
+        .with_task(0, 0, Space::Kernel);
+    let mut wire = Vec::new();
+    trace::codec::encode(&corrupt, &mut wire);
+    let decoded = trace::codec::decode(&mut wire.as_slice()).expect("kind byte is valid");
+    assert_eq!(decoded.ts.as_nanos(), u64::MAX);
+
+    let mut analyzer = TraceAnalyzer::new(AnalyzerConfig::linux());
+    analyzer.push(
+        &Event::new(
+            SimInstant::BOOT + SimDuration::from_secs(2),
+            EventKind::Set,
+            0x200,
+            1,
+        )
+        .with_timeout(SimDuration::from_millis(5))
+        .with_task(0, 0, Space::Kernel),
+    );
+    analyzer.push(&decoded);
+    let report = analyzer.finish(&StringTable::new());
+    assert_eq!(report.summary.set, 2);
+    assert_eq!(report.rate_series["Kernel"], [0, 0, 1]);
+}

@@ -72,9 +72,10 @@
 //!
 //! Every flag that takes a value accepts both `--flag V` and `--flag=V`.
 //! Any other argument is rejected: the binary prints the flag list on
-//! stderr and exits with status 2 before running anything.
+//! stderr and exits with status 2 before running anything. So is a
+//! `REPRO_SECONDS` or `REPRO_THREADS` that is set but not a positive
+//! integer.
 
-use timerstudy::experiment::repro_duration;
 use timerstudy::{Backend, FaultSpec};
 
 const SEED: u64 = 7;
@@ -359,12 +360,11 @@ fn main() {
         BackendMode::One(b) => b,
         _ => Backend::Native,
     };
-    let duration = repro_duration() * scale;
-    let threads = if serial || collected {
-        1
-    } else {
-        timerstudy::parallel::default_threads(9)
-    };
+    // Both knobs are checked on every path, so a malformed one exits 2
+    // even when this mode would not use it.
+    let duration = bench::repro_duration() * scale;
+    let pool_threads = bench::knob_or_exit(timerstudy::parallel::default_threads(9));
+    let threads = if serial || collected { 1 } else { pool_threads };
     eprintln!(
         "running all experiments at {} simulated seconds per trace ({}, faults: {}, adaptive: {})...",
         duration.as_secs(),

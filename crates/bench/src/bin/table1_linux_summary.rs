@@ -1,10 +1,10 @@
 //! Table 1: Linux trace summary for the four workloads.
-use timerstudy::experiment::{repro_duration, run_table_workloads};
+use timerstudy::experiment::run_table_workloads;
 use timerstudy::{figures, Os};
 
 fn main() {
     let started = std::time::Instant::now();
-    let results = run_table_workloads(Os::Linux, repro_duration(), 7);
+    let results = run_table_workloads(Os::Linux, bench::repro_duration(), 7);
     println!("{}", figures::table1(&results).printable());
     bench::print_stage_summary("table1", &results, started);
 }

@@ -1,10 +1,10 @@
 //! Table 2: Vista trace summary for the four workloads.
-use timerstudy::experiment::{repro_duration, run_table_workloads};
+use timerstudy::experiment::run_table_workloads;
 use timerstudy::{figures, Os};
 
 fn main() {
     let started = std::time::Instant::now();
-    let results = run_table_workloads(Os::Vista, repro_duration(), 7);
+    let results = run_table_workloads(Os::Vista, bench::repro_duration(), 7);
     println!("{}", figures::table2(&results).printable());
     bench::print_stage_summary("table2", &results, started);
 }

@@ -2,7 +2,26 @@
 
 use std::time::{Duration, Instant};
 
-use timerstudy::ExperimentResult;
+use simtime::SimDuration;
+use timerstudy::{EnvKnobError, ExperimentResult};
+
+/// Unwraps an environment knob, or reports the malformed variable on
+/// stderr and exits 2 — the same contract as an unknown flag.
+pub fn knob_or_exit<T>(knob: Result<T, EnvKnobError>) -> T {
+    knob.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
+/// The trace length every reproduction binary runs at
+/// ([`timerstudy::experiment::repro_duration`]). Exits 2 on a malformed
+/// `REPRO_SECONDS`, and on a malformed `REPRO_THREADS` too: the
+/// experiment pool reads it later, where it could only panic.
+pub fn repro_duration() -> SimDuration {
+    knob_or_exit(timerstudy::parallel::default_threads(1));
+    knob_or_exit(timerstudy::experiment::repro_duration())
+}
 
 /// The one-line `[telemetry] stage=...` summary for `results`: how many
 /// experiments ran, the trace records they logged (Σ

@@ -501,16 +501,50 @@ pub fn run_table_workloads(os: Os, duration: SimDuration, seed: u64) -> Vec<Expe
     crate::cache::global().run_all(&table_specs(os, duration, seed))
 }
 
-/// The duration knob shared by reproduction binaries: full paper length
-/// by default, scaled down via the `REPRO_SECONDS` environment variable.
-pub fn repro_duration() -> SimDuration {
-    match std::env::var("REPRO_SECONDS")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-    {
-        Some(secs) if secs > 0 => SimDuration::from_secs(secs),
-        _ => crate::PAPER_DURATION,
+/// A reproduction knob (`REPRO_SECONDS`, `REPRO_THREADS`) that is set in
+/// the environment but is not a positive integer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EnvKnobError {
+    /// The environment variable.
+    pub var: &'static str,
+    /// Its value as set (lossily decoded if it is not UTF-8).
+    pub value: String,
+}
+
+impl std::fmt::Display for EnvKnobError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}={:?}: expected a positive integer",
+            self.var, self.value
+        )
     }
+}
+
+impl std::error::Error for EnvKnobError {}
+
+/// Reads the environment variable `var` as a positive integer: `Ok(None)`
+/// when it is unset, an error when it is set to anything else — a typo
+/// must never fall back to a default silently.
+pub(crate) fn positive_env(var: &'static str) -> Result<Option<u64>, EnvKnobError> {
+    let Some(raw) = std::env::var_os(var) else {
+        return Ok(None);
+    };
+    let value = raw.to_string_lossy();
+    match raw.to_str().and_then(|s| s.parse::<u64>().ok()) {
+        Some(n) if n > 0 => Ok(Some(n)),
+        _ => Err(EnvKnobError {
+            var,
+            value: value.into_owned(),
+        }),
+    }
+}
+
+/// The duration knob shared by reproduction binaries: full paper length
+/// when `REPRO_SECONDS` is unset, that many seconds when it is a positive
+/// integer, and an error otherwise.
+pub fn repro_duration() -> Result<SimDuration, EnvKnobError> {
+    Ok(positive_env("REPRO_SECONDS")?.map_or(crate::PAPER_DURATION, SimDuration::from_secs))
 }
 
 /// Boot instant re-export for binaries.

@@ -40,7 +40,8 @@ pub use analysis::Report;
 pub use cache::ExperimentCache;
 pub use experiment::{
     run_experiment, run_experiment_collected, run_experiment_with_timer_list, run_experiments,
-    run_experiments_collected, ExperimentResult, ExperimentSpec, Os, ANALYSIS_CHUNK_EVENTS,
+    run_experiments_collected, EnvKnobError, ExperimentResult, ExperimentSpec, Os,
+    ANALYSIS_CHUNK_EVENTS,
 };
 pub use faults::FaultSpec;
 pub use metrics::{run_report, spec_label};

@@ -19,7 +19,9 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-use crate::experiment::{run_experiment, ExperimentResult, ExperimentSpec};
+use crate::experiment::{
+    positive_env, run_experiment, EnvKnobError, ExperimentResult, ExperimentSpec,
+};
 
 /// Renders a caught panic payload for the failure report.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -33,24 +35,27 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Picks the worker count: the `REPRO_THREADS` environment variable when
-/// set (and non-zero), otherwise the machine's available parallelism,
-/// never more than the number of specs.
-pub fn default_threads(specs: usize) -> usize {
-    let hw = std::env::var("REPRO_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
-        });
-    hw.min(specs).max(1)
+/// set, otherwise the machine's available parallelism, never more than
+/// the number of specs. A `REPRO_THREADS` that is not a positive integer
+/// is an error.
+pub fn default_threads(specs: usize) -> Result<usize, EnvKnobError> {
+    let hw = match positive_env("REPRO_THREADS")? {
+        Some(n) => usize::try_from(n).unwrap_or(usize::MAX),
+        None => std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1),
+    };
+    Ok(hw.min(specs).max(1))
 }
 
 /// [`default_threads`] for a concrete spec batch.
+///
+/// # Panics
+///
+/// Panics if `REPRO_THREADS` is malformed; front ends check
+/// [`default_threads`] first and report the error themselves.
 pub fn default_threads_for(specs: &[ExperimentSpec]) -> usize {
-    default_threads(specs.len())
+    default_threads(specs.len()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs `specs` across a scoped worker pool, returning results in spec

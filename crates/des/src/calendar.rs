@@ -1,26 +1,57 @@
 //! The pending-event calendar.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 use simtime::SimInstant;
 
-/// A handle to a posted event, usable to cancel it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Token(u64);
+/// One pending event, ordered by `(at, seq)` alone — the payload never
+/// takes part in the comparison, so `E` needs no ordering of its own.
+#[derive(Debug)]
+struct Entry<E> {
+    at: SimInstant,
+    seq: u64,
+    event: E,
+}
+
+impl<E> Entry<E> {
+    fn key(&self) -> (SimInstant, u64) {
+        (self.at, self.seq)
+    }
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
 
 /// A deterministic time-ordered event queue.
 ///
 /// Ties at the same instant are broken by posting order, which makes whole
 /// simulations reproducible from a seed. Popping advances the calendar's
 /// notion of "now"; posting an event in the past is rejected rather than
-/// silently reordered.
+/// silently reordered. Events live inline in the heap: nothing is ever
+/// cancelled, so there is no side table to probe on post or pop.
 #[derive(Debug)]
 pub struct Calendar<E> {
-    heap: BinaryHeap<Reverse<(SimInstant, u64, u64)>>,
-    payloads: HashMap<u64, E>,
+    heap: BinaryHeap<Reverse<Entry<E>>>,
     now: SimInstant,
-    next_key: u64,
+    next_seq: u64,
 }
 
 impl<E> Default for Calendar<E> {
@@ -34,9 +65,8 @@ impl<E> Calendar<E> {
     pub fn new() -> Self {
         Calendar {
             heap: BinaryHeap::new(),
-            payloads: HashMap::new(),
             now: SimInstant::BOOT,
-            next_key: 0,
+            next_seq: 0,
         }
     }
 
@@ -45,52 +75,33 @@ impl<E> Calendar<E> {
         self.now
     }
 
-    /// Posts `event` for instant `at`, returning a cancellation token.
+    /// Posts `event` for instant `at`.
     ///
     /// # Panics
     ///
     /// Panics if `at` is before the current time — an event in the past is
     /// always a simulation bug, never recoverable data.
-    pub fn post(&mut self, at: SimInstant, event: E) -> Token {
+    pub fn post(&mut self, at: SimInstant, event: E) {
         assert!(
             at >= self.now,
             "event posted for {at} but now is {}",
             self.now
         );
-        let key = self.next_key;
-        self.next_key += 1;
-        self.heap.push(Reverse((at, key, key)));
-        self.payloads.insert(key, event);
-        Token(key)
-    }
-
-    /// Cancels a posted event, returning its payload if it was pending.
-    pub fn cancel(&mut self, token: Token) -> Option<E> {
-        // The heap entry stays behind and is skipped lazily at pop time.
-        self.payloads.remove(&token.0)
-    }
-
-    /// Returns `true` if the event behind `token` is still pending.
-    pub fn is_pending(&self, token: Token) -> bool {
-        self.payloads.contains_key(&token.0)
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse(Entry { at, seq, event }));
     }
 
     /// The time of the earliest pending event.
-    pub fn peek_time(&mut self) -> Option<SimInstant> {
-        self.skim_stale();
-        self.heap.peek().map(|&Reverse((t, _, _))| t)
+    pub fn peek_time(&self) -> Option<SimInstant> {
+        self.heap.peek().map(|Reverse(entry)| entry.at)
     }
 
     /// Pops the earliest event, advancing `now` to its instant.
     pub fn pop(&mut self) -> Option<(SimInstant, E)> {
-        loop {
-            let Reverse((at, _, key)) = self.heap.pop()?;
-            if let Some(event) = self.payloads.remove(&key) {
-                self.now = at;
-                return Some((at, event));
-            }
-            // Cancelled entry: skip.
-        }
+        let Reverse(Entry { at, event, .. }) = self.heap.pop()?;
+        self.now = at;
+        Some((at, event))
     }
 
     /// Pops the earliest event if it is at or before `end`.
@@ -101,25 +112,14 @@ impl<E> Calendar<E> {
         }
     }
 
-    /// Number of pending (non-cancelled) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.payloads.len()
+        self.heap.len()
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.payloads.is_empty()
-    }
-
-    /// Drops stale (cancelled) entries from the top of the heap so that
-    /// `peek_time` reflects a live event.
-    fn skim_stale(&mut self) {
-        while let Some(&Reverse((_, _, key))) = self.heap.peek() {
-            if self.payloads.contains_key(&key) {
-                break;
-            }
-            self.heap.pop();
-        }
+        self.heap.is_empty()
     }
 }
 
@@ -152,20 +152,6 @@ mod tests {
         cal.post(at(1), 3);
         let order: Vec<i32> = std::iter::from_fn(|| cal.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn cancel_removes_event() {
-        let mut cal = Calendar::new();
-        let t1 = cal.post(at(1), "a");
-        cal.post(at(2), "b");
-        assert!(cal.is_pending(t1));
-        assert_eq!(cal.cancel(t1), Some("a"));
-        assert!(!cal.is_pending(t1));
-        assert_eq!(cal.cancel(t1), None);
-        assert_eq!(cal.len(), 1);
-        assert_eq!(cal.peek_time(), Some(at(2)));
-        assert_eq!(cal.pop(), Some((at(2), "b")));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! two shared pieces:
 //!
 //! * [`Calendar`] — the pending-event set: post an event for a future
-//!   instant, cancel it, pop the earliest. Events at the same instant pop
-//!   in posting order, so runs are exactly reproducible.
+//!   instant, pop the earliest. Events at the same instant pop in posting
+//!   order, so runs are exactly reproducible.
 //! * [`CpuMeter`] — virtual CPU accounting: busy time, idle time, and the
 //!   *wakeup count* that the paper's power discussion (Section 5.3, the
 //!   dynticks/deferrable-timer changes of Section 2.1) revolves around. An
@@ -16,5 +16,5 @@
 pub mod calendar;
 pub mod cpu;
 
-pub use calendar::{Calendar, Token};
+pub use calendar::Calendar;
 pub use cpu::CpuMeter;

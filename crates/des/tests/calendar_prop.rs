@@ -1,5 +1,5 @@
 //! Property test: the calendar pops events in exact (time, posting-order)
-//! sequence under arbitrary post/cancel interleavings.
+//! sequence under arbitrary post/pop interleavings.
 
 use des::Calendar;
 use proptest::prelude::*;
@@ -8,14 +8,15 @@ use simtime::{SimDuration, SimInstant};
 #[derive(Debug, Clone)]
 enum Op {
     Post { delta_ms: u64 },
-    Cancel { nth: usize },
     Pop,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
+        // Small deltas make same-instant ties common, exercising the
+        // posting-order tie-break.
+        (0u64..4).prop_map(|delta_ms| Op::Post { delta_ms }),
         (0u64..10_000).prop_map(|delta_ms| Op::Post { delta_ms }),
-        (0usize..32).prop_map(|nth| Op::Cancel { nth }),
         Just(Op::Pop),
     ]
 }
@@ -26,9 +27,8 @@ proptest! {
     #[test]
     fn pops_follow_time_then_posting_order(ops in proptest::collection::vec(op_strategy(), 0..200)) {
         let mut cal: Calendar<u64> = Calendar::new();
-        let mut tokens = Vec::new();
-        // Reference model: (at_ns, seq, live).
-        let mut model: Vec<(u64, u64, bool)> = Vec::new();
+        // Reference model: pending (at_ns, seq) pairs.
+        let mut model: Vec<(u64, u64)> = Vec::new();
         let mut seq = 0u64;
         let mut popped_up_to = 0u64;
         for op in &ops {
@@ -37,47 +37,30 @@ proptest! {
                     let at = SimInstant::from_nanos(
                         popped_up_to + SimDuration::from_millis(delta_ms).as_nanos(),
                     );
-                    let token = cal.post(at, seq);
-                    tokens.push((token, seq));
-                    model.push((at.as_nanos(), seq, true));
+                    cal.post(at, seq);
+                    model.push((at.as_nanos(), seq));
                     seq += 1;
                 }
-                Op::Cancel { nth } => {
-                    if let Some(&(token, s)) = tokens.get(nth) {
-                        let was_live = model.iter().any(|&(_, ms, live)| ms == s && live);
-                        let got = cal.cancel(token);
-                        prop_assert_eq!(got.is_some(), was_live);
-                        for entry in model.iter_mut() {
-                            if entry.1 == s {
-                                entry.2 = false;
-                            }
-                        }
-                    }
-                }
                 Op::Pop => {
-                    let expected = model
-                        .iter()
-                        .filter(|&&(_, _, live)| live)
-                        .min_by_key(|&&(at, s, _)| (at, s))
-                        .copied();
+                    let expected = model.iter().copied().min();
                     match cal.pop() {
                         Some((at, payload)) => {
-                            let (eat, es, _) = expected.expect("model has an event");
+                            let (eat, es) = expected.expect("model has an event");
                             prop_assert_eq!(at.as_nanos(), eat);
                             prop_assert_eq!(payload, es);
+                            prop_assert_eq!(cal.now(), at);
                             popped_up_to = eat;
-                            for entry in model.iter_mut() {
-                                if entry.1 == es {
-                                    entry.2 = false;
-                                }
-                            }
+                            model.retain(|&(_, s)| s != es);
                         }
                         None => prop_assert!(expected.is_none()),
                     }
                 }
             }
-            let live = model.iter().filter(|&&(_, _, l)| l).count();
-            prop_assert_eq!(cal.len(), live);
+            prop_assert_eq!(cal.len(), model.len());
+            prop_assert_eq!(
+                cal.peek_time().map(|t| t.as_nanos()),
+                model.iter().map(|&(at, _)| at).min()
+            );
         }
     }
 }

@@ -6,8 +6,7 @@
 //! `del_timer`/`del_timer_sync`), and per-tick processing corresponding to
 //! `__run_timers`.
 
-use std::collections::HashMap;
-
+use simtime::fasthash::FoldMap;
 use simtime::{Jiffies, JiffyClock, SimDuration, SimInstant, LINUX_HZ};
 use trace::{Event, EventFlags, EventKind, Pid, Space, Tid, TimerAddr, TraceLog};
 use wheel::{Backend, TimerQueue};
@@ -128,7 +127,7 @@ pub struct TimerBase {
     wheel: Box<dyn TimerQueue>,
     slots: Vec<TimerSlot>,
     /// Armed expiry per pending handle (for deferrable-aware idle scans).
-    pending: HashMap<u32, Jiffies>,
+    pending: FoldMap<u32, Jiffies>,
     /// Maximum stale-now jitter applied to kernel-space sets (Section 3.1
     /// measures this at up to 2 ms).
     set_jitter_max: SimDuration,
@@ -148,7 +147,7 @@ impl TimerBase {
             clock: JiffyClock::new(LINUX_HZ),
             wheel: backend.build(Backend::Hierarchical, 256),
             slots: Vec::new(),
-            pending: HashMap::new(),
+            pending: FoldMap::default(),
             set_jitter_max: SimDuration::from_millis(2),
         }
     }
@@ -364,13 +363,21 @@ impl TimerBase {
     /// Earliest pending expiry as an instant, optionally skipping
     /// deferrable timers (the dynticks idle path: `next_timer_interrupt`
     /// ignores deferrable timers so they cannot wake an idle CPU).
+    ///
+    /// `pending` mirrors the queue's armed set exactly, so the plain query
+    /// is the queue's own (cached on the wheels); only the deferrable-aware
+    /// one scans.
     pub fn next_expiry(&self, skip_deferrable: bool) -> Option<SimInstant> {
-        self.pending
-            .iter()
-            .filter(|(idx, _)| !skip_deferrable || !self.slots[**idx as usize].deferrable)
-            .map(|(_, &j)| j)
-            .min()
-            .map(|j| self.clock.instant_of(j))
+        let next = if skip_deferrable {
+            self.pending
+                .iter()
+                .filter(|(idx, _)| !self.slots[**idx as usize].deferrable)
+                .map(|(_, &j)| j)
+                .min()
+        } else {
+            self.wheel.next_expiry().map(Jiffies)
+        };
+        next.map(|j| self.clock.instant_of(j))
     }
 
     /// The armed expiry of a pending timer.

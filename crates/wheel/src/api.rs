@@ -1,7 +1,6 @@
 //! The common timer-queue interface and shared bookkeeping.
 
-use std::collections::HashMap;
-
+use simtime::fasthash::FoldMap;
 use telemetry::{sim, SimCounter, SimGauge};
 
 /// A discrete tick count.
@@ -151,7 +150,7 @@ impl QueueSnapshot {
 /// per-base pending counts (plain integer bookkeeping — no RNG draws).
 #[derive(Debug, Clone)]
 pub struct ActiveSet {
-    entries: HashMap<TimerId, ActiveEntry>,
+    entries: FoldMap<TimerId, ActiveEntry>,
     /// Pending count per base; length is the base count (1 for the
     /// single-base structures).
     base_pending: Vec<u64>,
@@ -193,7 +192,7 @@ impl ActiveSet {
     /// Creates an empty single-base counted set.
     pub fn new() -> Self {
         ActiveSet {
-            entries: HashMap::new(),
+            entries: FoldMap::default(),
             base_pending: vec![0],
             counted: true,
         }
@@ -203,7 +202,7 @@ impl ActiveSet {
     /// bases, with the uniform wheel counters left to the inner queues.
     pub fn sharded_bookkeeping(bases: usize) -> Self {
         ActiveSet {
-            entries: HashMap::new(),
+            entries: FoldMap::default(),
             base_pending: vec![0; bases.max(1)],
             counted: false,
         }
@@ -337,10 +336,12 @@ impl ActiveSet {
 
     /// The minimum expiry tick over all pending timers (O(n) scan).
     ///
-    /// All queue structures answer [`TimerQueue::next_expiry`] with this
-    /// scan. Concurrency in the paper's traces tops out at 84 outstanding
-    /// timers, so a linear scan on the idle path is deliberate simplicity —
-    /// the kernels do a bounded wheel scan instead.
+    /// The sorted-list and heap structures answer
+    /// [`TimerQueue::next_expiry`] with this scan, and the simulation
+    /// drivers ask on every step, not only when idle. Those two are
+    /// forced-backend oracles, off the default path; the default wheels
+    /// answer from [`NodeArena`](crate::arena::NodeArena)'s cached minimum
+    /// instead.
     pub fn min_expiry(&self) -> Option<Tick> {
         self.entries.values().map(|e| e.expires).min()
     }

@@ -1,13 +1,19 @@
-//! Slab-allocated timer nodes with generation-checked handles.
+//! Slab-allocated timer nodes with generation-checked handles and a
+//! cached minimum expiry.
 //!
-//! The hierarchical and hashed wheels used to route every liveness check
-//! through the [`ActiveSet`](crate::api::ActiveSet) `HashMap` — one probe
-//! per cascade move, per not-yet-due revisit, per fired entry. CHRONOS
-//! motivates keeping per-timer bookkeeping cache-resident; [`NodeArena`]
-//! does that with a slab `Vec` of nodes plus a free list, so the hot
-//! slot-processing loops turn each probe into an indexed array read. Only
-//! the id-keyed operations (`schedule`, `cancel`, `is_pending`) still
-//! consult a map, exactly as often as before.
+//! [`NodeArena`] keeps per-timer bookkeeping cache-resident (the point
+//! CHRONOS makes about multi-timer designs): a slab `Vec` of nodes plus a
+//! free list, so the hot slot-processing loops of the hierarchical and
+//! hashed wheels turn each liveness check — per cascade move, per
+//! not-yet-due revisit, per fired entry — into an indexed array read. Only
+//! the id-keyed operations (`schedule`, `cancel`, `is_pending`) consult a
+//! map, a [`FoldMap`].
+//!
+//! The simulation drivers ask for the next expiry on every step, so
+//! [`NodeArena::min_expiry`] answers from a cached minimum instead of
+//! walking the slab. Arming lowers the cache; releasing a node whose
+//! expiry equals the cached minimum invalidates it, and the next query
+//! rescans once.
 //!
 //! Invariants:
 //!
@@ -22,13 +28,16 @@
 //!   reuse counts toward `arena_recycles_total`. Both are plain counter
 //!   bumps — no RNG draws, so adopting the arena cannot perturb any
 //!   simulated trace.
+//! * While the cache is valid it holds the minimum expiry over live nodes
+//!   exactly (`None` when none are live).
 //! * The sim-plane bumps for schedules/cancels/expirations replicate
 //!   [`ActiveSet`](crate::api::ActiveSet) exactly (a re-arm of a live
 //!   timer counts a cancel and a schedule), keeping the conservation
 //!   identity and the cross-backend uniform counters unchanged.
 
-use std::collections::HashMap;
+use std::cell::Cell;
 
+use simtime::fasthash::FoldMap;
 use telemetry::{sim, SimCounter, SimGauge};
 
 use crate::api::{QueueSnapshot, SnapshotEntry, Tick, TimerId};
@@ -63,7 +72,11 @@ pub struct NodeHandle {
 pub struct NodeArena {
     nodes: Vec<Node>,
     free: Vec<NodeIndex>,
-    index: HashMap<TimerId, NodeIndex>,
+    index: FoldMap<TimerId, NodeIndex>,
+    /// `Some(min)` while `min` is the minimum expiry over live nodes
+    /// (itself `None` when no node is live); `None` once a release at the
+    /// minimum left it to be recomputed.
+    min_cache: Cell<Option<Option<Tick>>>,
 }
 
 impl NodeArena {
@@ -94,7 +107,11 @@ impl NodeArena {
     }
 
     fn release(&mut self, idx: NodeIndex) {
-        self.nodes[idx as usize].generation = 0;
+        let node = &mut self.nodes[idx as usize];
+        node.generation = 0;
+        if self.min_cache.get() == Some(Some(node.expires)) {
+            self.min_cache.set(None);
+        }
         self.free.push(idx);
     }
 
@@ -111,6 +128,10 @@ impl NodeArena {
         }
         let node = self.alloc(id, expires, generation);
         self.index.insert(id, node);
+        if let Some(min) = self.min_cache.get() {
+            let lowered = min.map_or(expires, |m| m.min(expires));
+            self.min_cache.set(Some(Some(lowered)));
+        }
         sim::add(SimCounter::WheelSchedules, 1);
         sim::gauge_max(SimGauge::WheelPendingHigh, self.index.len() as u64);
         NodeHandle { node, generation }
@@ -177,13 +198,20 @@ impl NodeArena {
         self.nodes.len()
     }
 
-    /// The minimum expiry over pending timers (linear slab scan).
+    /// The minimum expiry over pending timers: the cached value, or one
+    /// slab scan when a release at the minimum invalidated it.
     pub fn min_expiry(&self) -> Option<Tick> {
-        self.nodes
+        if let Some(min) = self.min_cache.get() {
+            return min;
+        }
+        let min = self
+            .nodes
             .iter()
             .filter(|n| n.generation != 0)
             .map(|n| n.expires)
-            .min()
+            .min();
+        self.min_cache.set(Some(min));
+        min
     }
 
     /// Builds the backend-uniform [`QueueSnapshot`] body (single base).
@@ -262,6 +290,52 @@ mod tests {
         assert_eq!(snap.now, 7);
         assert_eq!(snap.pending_multiset(), vec![(50, 1), (90, 3)]);
         assert_eq!(snap.base_pending, vec![2]);
+    }
+
+    #[test]
+    fn rearming_the_minimum_later_moves_the_minimum() {
+        let mut arena = NodeArena::new();
+        let mut gen_counter = 0;
+        arena.arm(1, 10, &mut gen_counter);
+        arena.arm(2, 20, &mut gen_counter);
+        assert_eq!(arena.min_expiry(), Some(10));
+        arena.arm(1, 30, &mut gen_counter);
+        assert_eq!(arena.min_expiry(), Some(20));
+    }
+
+    #[test]
+    fn releasing_one_of_two_tied_minima_keeps_the_minimum() {
+        let mut arena = NodeArena::new();
+        let mut gen_counter = 0;
+        let h1 = arena.arm(1, 10, &mut gen_counter);
+        arena.arm(2, 10, &mut gen_counter);
+        arena.arm(3, 50, &mut gen_counter);
+        assert_eq!(arena.min_expiry(), Some(10));
+        assert_eq!(arena.take_if_live(h1), Some((1, 10)));
+        assert_eq!(arena.min_expiry(), Some(10));
+        assert!(arena.disarm(2));
+        assert_eq!(arena.min_expiry(), Some(50));
+        assert!(arena.disarm(3));
+        assert_eq!(arena.min_expiry(), None);
+    }
+
+    #[test]
+    fn taking_the_minimum_then_arming_recomputes() {
+        let mut arena = NodeArena::new();
+        let mut gen_counter = 0;
+        let h1 = arena.arm(1, 10, &mut gen_counter);
+        arena.arm(2, 20, &mut gen_counter);
+        assert_eq!(arena.min_expiry(), Some(10));
+        // Arming above the survivors right after the take: the stale
+        // minimum must not survive the arm.
+        assert_eq!(arena.take_if_live(h1), Some((1, 10)));
+        arena.arm(3, 30, &mut gen_counter);
+        assert_eq!(arena.min_expiry(), Some(20));
+        // Arming below the minimum right after a take lowers it.
+        let h2 = arena.arm(2, 20, &mut gen_counter);
+        assert_eq!(arena.take_if_live(h2), Some((2, 20)));
+        arena.arm(4, 5, &mut gen_counter);
+        assert_eq!(arena.min_expiry(), Some(5));
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! high-watermark (a single-base assumption the per-base gauges would
 //! otherwise understate). None of this draws randomness.
 
-use std::collections::HashMap;
+use simtime::fasthash::FoldMap;
 
 use crate::api::{ActiveSet, Tick, TimerId, TimerQueue};
 
@@ -49,7 +49,7 @@ pub struct ShardedQueue {
     /// Effective tick per pending timer — the armed expiry, or the tick
     /// after the arming instant for already-due arms. Needed to merge the
     /// per-base fire sequences on the contract key.
-    effective: HashMap<TimerId, Tick>,
+    effective: FoldMap<TimerId, Tick>,
     next_gen: u64,
     current: Tick,
     /// The simulated CPU issuing schedule calls, if the kernel said so.
@@ -68,7 +68,7 @@ impl ShardedQueue {
         ShardedQueue {
             shards: (0..shards).map(|_| make_inner()).collect(),
             meta: ActiveSet::sharded_bookkeeping(shards),
-            effective: HashMap::new(),
+            effective: FoldMap::default(),
             next_gen: 0,
             current: 0,
             context_cpu: None,

@@ -14,7 +14,7 @@
 //! the quadratic firing behaviour the `queue_mix/sortedlist` benchmark
 //! exposed.
 
-use std::collections::HashMap;
+use simtime::fasthash::FoldMap;
 
 use crate::api::{ActiveSet, Tick, TimerId, TimerQueue};
 
@@ -32,7 +32,7 @@ pub struct SortedList {
     /// The effective fire tick each pending timer was inserted under, so
     /// re-arm and cancel can reconstruct the exact key for binary search
     /// (the armed expiry and generation live in `active`).
-    effective: HashMap<TimerId, Tick>,
+    effective: FoldMap<TimerId, Tick>,
     active: ActiveSet,
     gen_counter: u64,
     current: Tick,
