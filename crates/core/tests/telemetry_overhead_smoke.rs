@@ -5,17 +5,50 @@
 //! within 10% of the baseline. Minimum-of-N timings with interleaved
 //! runs keep the comparison robust against scheduler noise; the
 //! `telemetry_overhead` criterion bench gives the detailed numbers.
+//!
+//! One experiment runs on the calling thread alone, so each run is timed
+//! with that thread's CPU clock (`CLOCK_THREAD_CPUTIME_ID`, Linux): time
+//! the thread spends descheduled, or that the host steals from a shared
+//! virtual CPU, is not counted against either mode.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use simtime::SimDuration;
 use timerstudy::{run_experiment, ExperimentSpec, Os, Workload};
 
+/// `struct timespec` on 64-bit Linux.
+#[repr(C)]
+struct Timespec {
+    tv_sec: i64,
+    tv_nsec: i64,
+}
+
+/// `CLOCK_THREAD_CPUTIME_ID` from `<time.h>` on Linux.
+const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+
+extern "C" {
+    fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
+}
+
+/// CPU time the calling thread has used so far.
+fn thread_cpu_time() -> Duration {
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a live, writable `struct timespec` for the duration
+    // of the call, and CLOCK_THREAD_CPUTIME_ID is always supported on
+    // Linux, so the call only writes into `ts`.
+    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_THREAD_CPUTIME_ID) failed");
+    Duration::new(ts.tv_sec as u64, ts.tv_nsec as u32)
+}
+
 fn timed(spec: ExperimentSpec) -> Duration {
-    let started = Instant::now();
+    let started = thread_cpu_time();
     let result = run_experiment(spec);
     assert!(result.records > 0);
-    started.elapsed()
+    thread_cpu_time() - started
 }
 
 #[test]

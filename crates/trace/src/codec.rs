@@ -5,6 +5,28 @@
 //! them to text offline. We use the same shape: every event encodes to
 //! exactly [`RECORD_SIZE`] bytes so the ring buffer can reason in whole
 //! records and a reader can seek freely.
+//!
+//! # Record layout
+//!
+//! The one table [`encode_record`] writes and [`EventView`] and [`decode`]
+//! read. Every integer is little-endian.
+//!
+//! | offset | size | field                                             |
+//! |--------|------|---------------------------------------------------|
+//! |      0 |    8 | timestamp, ns                                     |
+//! |      8 |    1 | kind, 0..=5                                       |
+//! |      9 |    1 | space (bit 0) and flags (bits 1–4); bits 5–7 zero |
+//! |     10 |    2 | reserved padding, zero                            |
+//! |     12 |    4 | pid                                               |
+//! |     16 |    4 | tid                                               |
+//! |     20 |    4 | origin                                            |
+//! |     24 |    8 | timer address                                     |
+//! |     32 |    8 | timeout, ns, or `u64::MAX` when unknown           |
+//! |     40 |    8 | expiry, ns, or `u64::MAX` when unknown            |
+//!
+//! Both decoders reject a record that breaks the table, checking length,
+//! kind, space/flags bits and padding in that order, so every record they
+//! accept re-encodes to exactly its own bytes.
 
 use bytes::{Buf, BufMut};
 use simtime::{SimDuration, SimInstant};
@@ -27,6 +49,11 @@ pub enum DecodeError {
     },
     /// Unknown event-kind discriminant.
     BadKind(u8),
+    /// The space/flags byte sets one of the undefined bits 5–7; carries
+    /// the whole byte.
+    BadFlags(u8),
+    /// The reserved padding is not zero; carries its little-endian value.
+    BadPadding(u16),
 }
 
 impl std::fmt::Display for DecodeError {
@@ -36,6 +63,8 @@ impl std::fmt::Display for DecodeError {
                 write!(f, "truncated record: {available} of {RECORD_SIZE} bytes")
             }
             DecodeError::BadKind(k) => write!(f, "unknown event kind {k}"),
+            DecodeError::BadFlags(b) => write!(f, "undefined space/flags bits in {b:#04x}"),
+            DecodeError::BadPadding(p) => write!(f, "nonzero reserved padding {p:#06x}"),
         }
     }
 }
@@ -100,23 +129,11 @@ fn unpack_space_flags(b: u8) -> (Space, EventFlags) {
     (space, flags)
 }
 
-/// Encodes an event into exactly [`RECORD_SIZE`] bytes appended to `buf`.
-pub fn encode(event: &Event, buf: &mut impl BufMut) {
-    buf.put_u64_le(event.ts.as_nanos());
-    buf.put_u8(kind_to_u8(event.kind));
-    buf.put_u8(pack_space_flags(event.space, event.flags));
-    buf.put_u16_le(0); // Reserved padding.
-    buf.put_u32_le(event.pid);
-    buf.put_u32_le(event.tid);
-    buf.put_u32_le(event.origin);
-    buf.put_u64_le(event.timer);
-    buf.put_u64_le(event.timeout.map_or(NONE_SENTINEL, |d| d.as_nanos()));
-    buf.put_u64_le(event.expires.map_or(NONE_SENTINEL, |i| i.as_nanos()));
-}
-
-/// Byte offsets of the fixed record layout (see [`encode`]).
+// Field offsets of the layout table in the module doc.
+const OFF_TS: usize = 0;
 const OFF_KIND: usize = 8;
 const OFF_SPACE_FLAGS: usize = 9;
+const OFF_PAD: usize = 10;
 const OFF_PID: usize = 12;
 const OFF_TID: usize = 16;
 const OFF_ORIGIN: usize = 20;
@@ -124,19 +141,60 @@ const OFF_TIMER: usize = 24;
 const OFF_TIMEOUT: usize = 32;
 const OFF_EXPIRES: usize = 40;
 
+/// The space/flags bits [`pack_space_flags`] can set.
+const SPACE_FLAGS_MASK: u8 = 0x1F;
+
+/// Encodes an event into one record, built in place at the layout's
+/// offsets.
+#[inline]
+pub fn encode_record(event: &Event) -> [u8; RECORD_SIZE] {
+    fn put<const N: usize>(rec: &mut [u8; RECORD_SIZE], off: usize, bytes: [u8; N]) {
+        rec[off..off + N].copy_from_slice(&bytes);
+    }
+    // Zero-initialised, so the reserved padding needs no write.
+    let mut rec = [0u8; RECORD_SIZE];
+    put(&mut rec, OFF_TS, event.ts.as_nanos().to_le_bytes());
+    rec[OFF_KIND] = kind_to_u8(event.kind);
+    rec[OFF_SPACE_FLAGS] = pack_space_flags(event.space, event.flags);
+    put(&mut rec, OFF_PID, event.pid.to_le_bytes());
+    put(&mut rec, OFF_TID, event.tid.to_le_bytes());
+    put(&mut rec, OFF_ORIGIN, event.origin.to_le_bytes());
+    put(&mut rec, OFF_TIMER, event.timer.to_le_bytes());
+    let timeout = event.timeout.map_or(NONE_SENTINEL, |d| d.as_nanos());
+    put(&mut rec, OFF_TIMEOUT, timeout.to_le_bytes());
+    let expires = event.expires.map_or(NONE_SENTINEL, |i| i.as_nanos());
+    put(&mut rec, OFF_EXPIRES, expires.to_le_bytes());
+    rec
+}
+
+/// Encodes an event into exactly [`RECORD_SIZE`] bytes appended to `buf`.
+pub fn encode(event: &Event, buf: &mut impl BufMut) {
+    buf.put_slice(&encode_record(event));
+}
+
 /// A borrowed, validated view over one encoded record.
 ///
-/// [`decode_view`] performs the full validation [`decode`] would (length
-/// and kind discriminant — the only fallible field), so every accessor is
+/// [`decode_view`] performs the full validation [`decode`] would (length,
+/// kind discriminant, space/flags bits, padding), so every accessor is
 /// infallible and reads its field lazily straight off the backing slice.
 /// Nothing is copied until [`EventView::to_event`]; the hot streaming path
 /// never calls it.
 #[derive(Debug, Clone, Copy)]
 pub struct EventView<'a> {
-    bytes: &'a [u8],
+    bytes: &'a [u8; RECORD_SIZE],
 }
 
 impl<'a> EventView<'a> {
+    /// Re-borrows a record that [`decode_view`] has already accepted,
+    /// without checking it again.
+    #[inline]
+    pub(crate) fn from_validated(bytes: &'a [u8]) -> Self {
+        debug_assert!(decode_view(bytes).is_ok(), "record was validated");
+        EventView {
+            bytes: bytes[..RECORD_SIZE].try_into().expect("a whole record"),
+        }
+    }
+
     #[inline]
     fn u64_at(&self, off: usize) -> u64 {
         u64::from_le_bytes(self.bytes[off..off + 8].try_into().expect("fixed layout"))
@@ -150,7 +208,7 @@ impl<'a> EventView<'a> {
     /// Timestamp in raw nanoseconds (the merge key).
     #[inline]
     pub fn ts_nanos(&self) -> u64 {
-        self.u64_at(0)
+        self.u64_at(OFF_TS)
     }
 
     /// Virtual timestamp of the operation.
@@ -270,14 +328,31 @@ pub fn decode_view(buf: &[u8]) -> Result<EventView<'_>, DecodeError> {
             available: buf.len(),
         });
     }
-    let bytes = &buf[..RECORD_SIZE];
+    let bytes: &[u8; RECORD_SIZE] = buf[..RECORD_SIZE].try_into().expect("length checked");
     if bytes[OFF_KIND] > 5 {
         return Err(DecodeError::BadKind(bytes[OFF_KIND]));
     }
+    check_space_flags(bytes[OFF_SPACE_FLAGS])?;
+    check_padding(u16::from_le_bytes([bytes[OFF_PAD], bytes[OFF_PAD + 1]]))?;
     Ok(EventView { bytes })
 }
 
-/// Decodes one record from the front of `buf`.
+fn check_space_flags(b: u8) -> Result<(), DecodeError> {
+    if b & !SPACE_FLAGS_MASK != 0 {
+        return Err(DecodeError::BadFlags(b));
+    }
+    Ok(())
+}
+
+fn check_padding(pad: u16) -> Result<(), DecodeError> {
+    if pad != 0 {
+        return Err(DecodeError::BadPadding(pad));
+    }
+    Ok(())
+}
+
+/// Decodes one record from the front of `buf`, checking it in the order
+/// the module doc gives.
 pub fn decode(buf: &mut impl Buf) -> Result<Event, DecodeError> {
     if buf.remaining() < RECORD_SIZE {
         return Err(DecodeError::Truncated {
@@ -286,8 +361,10 @@ pub fn decode(buf: &mut impl Buf) -> Result<Event, DecodeError> {
     }
     let ts = SimInstant::from_nanos(buf.get_u64_le());
     let kind = kind_from_u8(buf.get_u8())?;
-    let (space, flags) = unpack_space_flags(buf.get_u8());
-    let _pad = buf.get_u16_le();
+    let space_flags = buf.get_u8();
+    check_space_flags(space_flags)?;
+    let (space, flags) = unpack_space_flags(space_flags);
+    check_padding(buf.get_u16_le())?;
     let pid = buf.get_u32_le();
     let tid = buf.get_u32_le();
     let origin = buf.get_u32_le();
@@ -372,6 +449,7 @@ mod tests {
         let mut buf = BytesMut::new();
         encode(&e, &mut buf);
         assert_eq!(buf.len(), RECORD_SIZE);
+        assert_eq!(buf[..], encode_record(&e));
     }
 
     #[test]
@@ -391,5 +469,29 @@ mod tests {
         bytes[8] = 99; // Kind byte follows the 8-byte timestamp.
         let mut slice: &[u8] = &bytes;
         assert_eq!(decode(&mut slice), Err(DecodeError::BadKind(99)));
+    }
+
+    #[test]
+    fn undefined_flag_bits_fail() {
+        let mut bytes = encode_record(&Event::new(SimInstant::BOOT, EventKind::Set, 1, 2));
+        bytes[OFF_SPACE_FLAGS] |= 1 << 5;
+        let mut slice: &[u8] = &bytes;
+        assert_eq!(decode(&mut slice), Err(DecodeError::BadFlags(0x20)));
+        assert_eq!(decode_view(&bytes).err(), Some(DecodeError::BadFlags(0x20)));
+    }
+
+    #[test]
+    fn nonzero_padding_fails_after_flags() {
+        let mut bytes = encode_record(&Event::new(SimInstant::BOOT, EventKind::Set, 1, 2));
+        bytes[OFF_PAD + 1] = 1;
+        let mut slice: &[u8] = &bytes;
+        assert_eq!(decode(&mut slice), Err(DecodeError::BadPadding(0x100)));
+        assert_eq!(
+            decode_view(&bytes).err(),
+            Some(DecodeError::BadPadding(0x100))
+        );
+        // Flags are checked before padding.
+        bytes[OFF_SPACE_FLAGS] = 0x80;
+        assert_eq!(decode_view(&bytes).err(), Some(DecodeError::BadFlags(0x80)));
     }
 }

@@ -18,7 +18,8 @@
 //!   differential oracle) and a borrowed zero-copy [`EventView`] layer.
 //! * [`ring`] — a non-overwriting ring buffer (relayfs semantics: ordering
 //!   guaranteed, new events are dropped — and counted — rather than
-//!   overwriting old ones).
+//!   overwriting old ones), stored in fixed-size blocks that snapshots
+//!   share instead of copying.
 //! * [`logger`] — the [`TraceLog`] facade the simulated kernels call, and
 //!   the [`TraceSink`] abstraction that lets large experiments stream
 //!   events directly into analysis without materialising gigabytes.

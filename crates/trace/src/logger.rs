@@ -7,7 +7,6 @@
 //! through the [`TraceSink`] trait, so memory stays bounded without losing
 //! any event.
 
-use bytes::BytesMut;
 use serde::{Deserialize, Serialize};
 use simtime::fasthash::FoldMap;
 use simtime::SimDuration;
@@ -72,19 +71,19 @@ impl TraceSink for CountSink {
 }
 
 /// Encodes events into a relayfs-style ring buffer.
+///
+/// Each event is built as one fixed-size record on the stack by
+/// [`codec::encode_record`] and appended straight to the ring; a full
+/// ring drops and counts the record, as relayfs does.
 #[derive(Debug)]
 pub struct RingSink {
     ring: RingBuffer,
-    scratch: BytesMut,
 }
 
 impl RingSink {
     /// Wraps a ring buffer.
     pub fn new(ring: RingBuffer) -> Self {
-        RingSink {
-            ring,
-            scratch: BytesMut::with_capacity(codec::RECORD_SIZE),
-        }
+        RingSink { ring }
     }
 
     /// Consumes the sink, returning the filled ring.
@@ -100,9 +99,7 @@ impl RingSink {
 
 impl TraceSink for RingSink {
     fn record(&mut self, event: &Event) {
-        self.scratch.clear();
-        codec::encode(event, &mut self.scratch);
-        self.ring.push_record(&self.scratch);
+        self.ring.push_record(&codec::encode_record(event));
     }
 
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {

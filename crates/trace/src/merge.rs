@@ -9,6 +9,10 @@
 //! `O(cpus)` decoded events resident. Consumers either iterate event by
 //! event or pull bounded chunks via [`MergedReader::read_chunk`].
 //!
+//! Each record is validated and decoded once, when it becomes its ring's
+//! head: the owned paths move that event out, and the view paths
+//! re-borrow the record's bytes without checking them again.
+//!
 //! Two damage policies, for the two kinds of consumer:
 //!
 //! * **strict** — the historical `merged()` contract: any partial tail or
@@ -42,15 +46,18 @@ impl MergeStats {
     }
 }
 
-/// The validated head of one ring: merge key plus record position.
-///
-/// The merge never materialises an owned [`Event`] for its heads — it
-/// keeps only the timestamp (the comparison key) and the index of the
-/// already-validated record, and re-borrows the bytes on yield.
+/// The validated head of one ring: its decoded event (whose timestamp
+/// is the merge key) and the record's index in the ring.
 #[derive(Debug, Clone, Copy)]
 struct Head {
-    ts: u64,
+    event: Event,
     index: usize,
+}
+
+impl Head {
+    fn ts(&self) -> u64 {
+        self.event.ts.as_nanos()
+    }
 }
 
 /// An incremental k-way merge over owned ring snapshots.
@@ -124,7 +131,7 @@ impl MergedReader {
             match codec::decode_view(bytes) {
                 Ok(view) => {
                     self.heads[cpu] = Some(Head {
-                        ts: view.ts_nanos(),
+                        event: view.to_event(),
                         index,
                     });
                     return;
@@ -166,10 +173,8 @@ impl MergedReader {
         self.stats
     }
 
-    /// Validated head stubs currently resident (at most one per CPU) —
-    /// the readout side's whole merge-state footprint. No owned events
-    /// are ever resident: heads carry only a timestamp and a record
-    /// index.
+    /// Decoded heads currently resident (at most one per CPU) — the
+    /// readout side's whole merge-state footprint.
     pub fn resident_events(&self) -> usize {
         self.heads.iter().filter(|h| h.is_some()).count()
     }
@@ -180,20 +185,17 @@ impl MergedReader {
         let mut best: Option<(usize, u64)> = None;
         for (cpu, head) in self.heads.iter().enumerate() {
             if let Some(head) = head {
-                if best.is_none_or(|(_, b)| head.ts < b) {
-                    best = Some((cpu, head.ts));
+                if best.is_none_or(|(_, b)| head.ts() < b) {
+                    best = Some((cpu, head.ts()));
                 }
             }
         }
         best.map(|(cpu, _)| cpu)
     }
 
-    /// Yields the next merged event as a zero-copy borrowed view.
-    ///
-    /// Identical stream to the owned [`Iterator`] (same order, same
-    /// damage policy) without materialising an [`Event`]: the view
-    /// borrows the record bytes straight out of the ring snapshot.
-    pub fn next_view(&mut self) -> Option<Result<EventView<'_>, DecodeError>> {
+    /// Takes the head that merges next and refills its ring's head, as
+    /// `(cpu, head)`; or the strict error, once; or `None` at the end.
+    fn pop(&mut self) -> Option<Result<(usize, Head), DecodeError>> {
         if self.poisoned {
             return None;
         }
@@ -201,14 +203,30 @@ impl MergedReader {
             self.poisoned = true;
             return Some(Err(err));
         }
-        let cpu = self.best_cpu()?;
-        let head = self.heads[cpu].take().expect("selected head present");
+        // With one ring there is nothing to compare.
+        let cpu = if self.heads.len() == 1 {
+            0
+        } else {
+            self.best_cpu()?
+        };
+        let head = self.heads[cpu].take()?;
         self.stats.decoded += 1;
         self.fill_head(cpu);
-        let bytes = self.rings[cpu]
-            .record(head.index)
-            .expect("head indexes a whole record");
-        Some(Ok(codec::decode_view(bytes).expect("head was validated")))
+        Some(Ok((cpu, head)))
+    }
+
+    /// Yields the next merged event as a zero-copy borrowed view.
+    ///
+    /// Identical stream to the owned [`Iterator`] (same order, same
+    /// damage policy): the view borrows the record bytes straight out of
+    /// the ring snapshot.
+    pub fn next_view(&mut self) -> Option<Result<EventView<'_>, DecodeError>> {
+        Some(self.pop()?.map(|(cpu, head)| {
+            let bytes = self.rings[cpu]
+                .record(head.index)
+                .expect("head indexes a whole record");
+            EventView::from_validated(bytes)
+        }))
     }
 
     /// Streams up to `max` merged events into `sink` as borrowed views,
@@ -237,8 +255,8 @@ impl MergedReader {
     pub fn read_chunk(&mut self, buf: &mut Vec<Event>, max: usize) -> usize {
         buf.clear();
         while buf.len() < max {
-            match self.next() {
-                Some(Ok(event)) => buf.push(event),
+            match self.pop() {
+                Some(Ok((_, head))) => buf.push(head.event),
                 Some(Err(_)) | None => break,
             }
         }
@@ -250,13 +268,7 @@ impl Iterator for MergedReader {
     type Item = Result<Event, DecodeError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        // Owned events are materialised only here, at the consumer's
-        // explicit request; the merge machinery itself works on views.
-        match self.next_view() {
-            Some(Ok(view)) => Some(Ok(view.to_event())),
-            Some(Err(err)) => Some(Err(err)),
-            None => None,
-        }
+        Some(self.pop()?.map(|(_, head)| head.event))
     }
 }
 

@@ -52,12 +52,8 @@ impl PerCpuRings {
     ///
     /// Panics if `cpu` is out of range.
     pub fn log_on(&self, cpu: usize, event: &Event) -> bool {
-        let mut buf = [0u8; codec::RECORD_SIZE];
-        {
-            let mut slice = &mut buf[..];
-            codec::encode(event, &mut slice);
-        }
-        self.cpus[cpu].lock().push_record(&buf)
+        let record = codec::encode_record(event);
+        self.cpus[cpu].lock().push_record(&record)
     }
 
     /// Total records stored across CPUs.
@@ -80,17 +76,19 @@ impl PerCpuRings {
         f(&mut self.cpus[cpu].lock())
     }
 
-    /// A consistent snapshot of every ring. Cloning keeps any partial
-    /// trailing bytes so damage stays detectable by the readers.
+    /// A consistent snapshot of every ring. Cloning shares each ring's
+    /// sealed blocks and copies only its tail block, so the lock is held
+    /// for at most one block copy; it keeps any partial trailing bytes so
+    /// damage stays detectable by the readers.
     fn snapshot(&self) -> Vec<RingBuffer> {
         self.cpus.iter().map(|c| c.lock().clone()).collect()
     }
 
     /// A streaming, loss-accounting k-way merge over a snapshot of the
     /// rings: events arrive in timestamp order (stable across CPUs at
-    /// equal timestamps) with only `O(cpus)` validated head stubs
-    /// resident, and damaged records are skipped and counted in the
-    /// reader's [`MergeStats`] instead of discarding healthy CPUs' data.
+    /// equal timestamps) with only `O(cpus)` decoded heads resident, and
+    /// damaged records are skipped and counted in the reader's
+    /// [`MergeStats`] instead of discarding healthy CPUs' data.
     ///
     /// The reader is zero-copy at heart: pull borrowed
     /// [`EventView`](crate::codec::EventView)s via

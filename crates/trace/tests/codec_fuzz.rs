@@ -12,21 +12,56 @@ proptest! {
         let mut slice = &bytes[..];
         match codec::decode(&mut slice) {
             Ok(event) => {
-                // A structurally valid record: re-encoding reproduces the
-                // same prefix byte-for-byte (the padding field is zeroed,
-                // so only fuzz inputs with zero padding round-trip; check
-                // semantic equality instead).
-                let mut out = bytes::BytesMut::new();
-                codec::encode(&event, &mut out);
-                let mut reslice = &out[..];
-                let back = codec::decode(&mut reslice).unwrap();
-                prop_assert_eq!(event, back);
+                // A structurally valid record re-encodes byte-for-byte.
+                prop_assert_eq!(&codec::encode_record(&event)[..], &bytes[..RECORD_SIZE]);
             }
             Err(DecodeError::Truncated { available }) => {
                 prop_assert!(available < RECORD_SIZE);
             }
             Err(DecodeError::BadKind(k)) => {
                 prop_assert!(k > 5);
+            }
+            Err(DecodeError::BadFlags(b)) => {
+                prop_assert!(bytes[8] <= 5 && b == bytes[9] && b >> 5 != 0);
+            }
+            Err(DecodeError::BadPadding(p)) => {
+                prop_assert!(bytes[8] <= 5 && bytes[9] >> 5 == 0);
+                prop_assert!(p != 0 && p == u16::from_le_bytes([bytes[10], bytes[11]]));
+            }
+        }
+    }
+
+    /// Strict decoding: for any 48 bytes, either both decoders reject
+    /// them with the same error, or both accept them and the record
+    /// re-encodes to exactly those bytes. Each byte comes from a
+    /// strategy that mostly stays valid, so every check and every order
+    /// of failure is reached, not just the kind check.
+    #[test]
+    fn every_accepted_record_round_trips_exactly(
+        base in any::<[u8; RECORD_SIZE]>(),
+        kind in prop_oneof![0u8..6, any::<u8>()],
+        space_flags in prop_oneof![0u8..0x20, any::<u8>()],
+        pad in prop_oneof![Just(0u16), any::<u16>()],
+    ) {
+        let mut rec = base;
+        rec[8] = kind;
+        rec[9] = space_flags;
+        rec[10..12].copy_from_slice(&pad.to_le_bytes());
+        let mut slice = &rec[..];
+        let owned = codec::decode(&mut slice);
+        let viewed = codec::decode_view(&rec).map(|v| v.to_event());
+        prop_assert_eq!(&owned, &viewed);
+        match owned {
+            Ok(event) => prop_assert_eq!(codec::encode_record(&event), rec),
+            Err(err) => {
+                let expected = if kind > 5 {
+                    DecodeError::BadKind(kind)
+                } else if space_flags >= 0x20 {
+                    DecodeError::BadFlags(space_flags)
+                } else {
+                    DecodeError::BadPadding(pad)
+                };
+                prop_assert_eq!(err, expected);
             }
         }
     }
